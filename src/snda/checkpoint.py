@@ -3,7 +3,7 @@
 Layout: magic `SNDA`, u32-LE format version, u64-LE-length-prefixed UTF-8
 JSON metadata (model config, step, seed), then per-parameter records in
 ParamSet order: u64-LE name length, name, u64-LE rank, u64-LE dims, raw
-little-endian float32 values.
+little-endian values in the model config's dtype.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .model import DenoiserModel, ModelConfig, init_model
 
 MAGIC = b"SNDA"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(IOError):
@@ -30,6 +30,7 @@ def save_checkpoint(model: DenoiserModel, path: str, step: int = 0, seed: int = 
         "step": int(step),
         "seed": int(seed),
     }, sort_keys=True).encode("utf-8")
+    dtype = np.dtype(model.config.dtype).newbyteorder("<")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
@@ -42,7 +43,7 @@ def save_checkpoint(model: DenoiserModel, path: str, step: int = 0, seed: int = 
             f.write(struct.pack("<Q", t.data.ndim))
             for d in t.data.shape:
                 f.write(struct.pack("<Q", d))
-            f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(t.data, dtype=dtype).tobytes())
 
 
 def _read(f, n: int, what: str) -> bytes:
@@ -64,6 +65,7 @@ def load_checkpoint(path: str) -> tuple[DenoiserModel, int, int]:
         try:
             meta = json.loads(_read(f, meta_len, "metadata").decode("utf-8"))
             config = ModelConfig(**meta["model_config"])
+            dtype = np.dtype(config.dtype).newbyteorder("<")
         except (ValueError, KeyError, TypeError) as e:
             raise CheckpointError(f"invalid checkpoint metadata: {e}") from e
 
@@ -83,8 +85,8 @@ def load_checkpoint(path: str) -> tuple[DenoiserModel, int, int]:
                                       f"{dims}, config implies "
                                       f"{model.params[name].data.shape}")
             count = int(np.prod(dims)) if dims else 1
-            raw = _read(f, 4 * count, f"values of {name!r}")
-            values[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            raw = _read(f, dtype.itemsize * count, f"values of {name!r}")
+            values[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
         if f.read(1):
             raise CheckpointError("trailing bytes after last parameter record")
     model.params.load_values(values)

@@ -4,19 +4,20 @@ bench / ablate over config files with --key value overrides."""
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, dump_config, parse_config_file, set_key
-from .data import PAD, Vocab, encode, decode, load_corpus, make_batch, TokenSeq
-from .evaluation import exact_match, quality_diversity_curve, ablation_report
-from .experiments import (bench_report, desk_model_config, desk_train_config,
-                          train_synthetic, _task_pairs)
-from .model import ModelConfig, build_conditioning, init_model
+from .data import PAD, Vocab, encode, decode, load_corpus, TokenSeq
+from .evaluation import (ABLATION_SAMPLER, ablation_report, exact_match,
+                         quality_diversity_curve)
+from .experiments import (bench_report, desk_model_config, heldout_pairs,
+                          train_lm, train_synthetic)
+from .model import build_conditioning, init_model
 from .numerics import NumericError
 from .sampling import SamplerConfig, Template, sample_chain, sample_reranked
-from .training import averaged_model, make_train_state, train_loop
 
 USAGE = """usage: snda COMMAND [--config PATH] [--key value ...]
 
@@ -30,8 +31,9 @@ commands:
   ablate      unroll-count / length-prediction ablation table
 
 common flags: --config PATH, --seed INT, --checkpoint PATH, --out PATH,
-  --count INT, --template STR, --temps CSV, --steps INT/CSV,
-  --strategy {low_temp,argmax_unrolled}, plus any dotted config key.
+  --count INT, --template STR, --temps CSV, --steps INT/CSV (chain steps;
+  train takes --train.total_steps), --strategy {low_temp,argmax_unrolled},
+  plus any dotted config key (model.*, train.*, sampler.*).
 """
 
 _FLAG_ALIASES = {"seed", "checkpoint", "out", "count", "template", "temps",
@@ -83,45 +85,57 @@ def _require(cfg: RunConfig, key: str):
     return value
 
 
+def _len_range(cfg: RunConfig) -> tuple[int, int]:
+    return int(cfg.get("len_min", 4)), int(cfg.get("len_max", 12))
+
+
+def _train_settings(cfg: RunConfig) -> tuple[dict, dict]:
+    """(model.* settings except N, train.* settings) for a trainer; the keys
+    a trainer derives itself are rejected."""
+    for section, key in (("model", "v"), ("model", "mode"), ("model", "N_source"),
+                         ("train", "seed")):
+        if key in getattr(cfg, section):
+            raise ConfigError(f"{section}.{key} is derived from the task, the "
+                              "vocabulary or --seed and cannot be set")
+    return {k: v for k, v in cfg.model.items() if k != "N"}, dict(cfg.train)
+
+
+def _task_train_kwargs(cfg: RunConfig) -> dict:
+    """train_synthetic keyword arguments for every task, model.* and train.*
+    setting."""
+    model_overrides, train_overrides = _train_settings(cfg)
+    return dict(v_task=int(cfg.get("v_task", 14)), len_range=_len_range(cfg),
+                N=int(cfg.model.get("N", 16)), model_overrides=model_overrides,
+                **train_overrides)
+
+
 def cmd_train(cfg: RunConfig) -> int:
+    if cfg.get("steps") is not None:
+        raise ConfigError("train takes its step count from --train.total_steps, "
+                          "not --steps")
     seed = int(cfg.get("seed", 0))
     ckpt_path = cfg.get("checkpoint_out") or cfg.get("checkpoint") or "model.ckpt"
     log_path = cfg.get("out") or "metrics.log"
     lines: list[str] = []
     task = cfg.get("task")
     if task:
-        model, _ = train_synthetic(
-            task, seed=seed,
-            v_task=int(cfg.get("v_task", 14)),
-            len_range=(int(cfg.get("len_min", 4)), int(cfg.get("len_max", 12))),
-            N=int(cfg.model.get("N", 16)),
-            total_steps=int(cfg.train.get("total_steps", 1200)),
-            batch_size=int(cfg.train.get("batch_size", 32)),
-            unroll_terms=int(cfg.train.get("unroll_terms", 2)),
-            log_fn=lines.append,
-            **{k: v for k, v in cfg.train.items()
-               if k not in ("total_steps", "batch_size", "unroll_terms", "seed")})
+        if cfg.get("log_every") is not None:
+            raise ConfigError("log_every applies to --corpus training; task training "
+                              "logs every 50 steps")
+        model, _ = train_synthetic(task, seed=seed, log_fn=lines.append,
+                                   **_task_train_kwargs(cfg))
     else:
-        corpus_path = _require(cfg, "corpus")
+        with open(_require(cfg, "corpus"), encoding="utf-8") as f:
+            docs = [doc for doc in (ln.rstrip("\n") for ln in f) if doc]
         if cfg.get("vocab"):
             vocab = Vocab.load(cfg.get("vocab"))
         else:
-            with open(corpus_path, encoding="utf-8") as f:
-                vocab = Vocab.from_corpus([ln.rstrip("\n") for ln in f if ln.strip()],
-                                          kind="char")
+            vocab = Vocab.from_corpus(docs, kind="char")
             vocab.save(ckpt_path + ".vocab")
-        N = int(cfg.model.get("N", 32))
-        corpus = load_corpus(corpus_path, vocab, max(N, 1) * 8)
-        mcfg = desk_model_config(vocab.size, N, "unconditional",
-                                 dropout=float(cfg.model.get("dropout", 0.0)))
-        model0 = init_model(mcfg, np.random.default_rng(seed))
-        tcfg = desk_train_config(int(cfg.train.get("total_steps", 800)),
-                                 int(cfg.train.get("batch_size", 32)), seed,
-                                 unroll_terms=int(cfg.train.get("unroll_terms", 2)))
-        state = make_train_state(model0, tcfg)
-        train_loop(state, lambda step, rng: make_batch(corpus, tcfg.batch_size, N, rng),
-                   log_every=int(cfg.get("log_every", 50)), log_fn=lines.append)
-        model = averaged_model(state)
+        model_overrides, train_overrides = _train_settings(cfg)
+        model = train_lm(docs, vocab, seed=seed, N=int(cfg.model.get("N", 32)),
+                         log_every=int(cfg.get("log_every", 50)), log_fn=lines.append,
+                         model_overrides=model_overrides, **train_overrides)
     with open(log_path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
     save_checkpoint(model, ckpt_path, seed=seed)
@@ -147,7 +161,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     scfg = _sampler_cfg(cfg)
     out_lines = []
     for i in range(count):
-        one = SamplerConfig(**{**scfg.__dict__, "seed": scfg.seed + i})
+        one = replace(scfg, seed=scfg.seed + i)
         final = sample_chain(model, one).states[-1]
         n = next((k for k, t in enumerate(final) if t == PAD), len(final))
         out_lines.append(decode(TokenSeq(final, n), vocab))
@@ -166,7 +180,7 @@ def cmd_translate(cfg: RunConfig) -> int:
     for i, text in enumerate(sources):
         src = encode(text, vocab, model.config.N_source)
         cond = build_conditioning(model, src.ids, src.content_len)
-        one = SamplerConfig(**{**scfg.__dict__, "seed": scfg.seed + 65537 * i})
+        one = replace(scfg, seed=scfg.seed + 65537 * i)
         best, _ = sample_reranked(model, one, cond=cond)
         n = next((k for k, t in enumerate(best) if t == PAD), len(best))
         out_lines.append(decode(TokenSeq(best, n), vocab))
@@ -200,10 +214,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     scfg = _sampler_cfg(cfg)
     seed = int(cfg.get("seed", 0))
     if cfg.get("task"):
-        pairs = _task_pairs(seed + 10_000, 2**31 + 17, int(cfg.get("count", 100)),
-                            cfg.get("task"),
-                            (int(cfg.get("len_min", 4)), int(cfg.get("len_max", 12))),
-                            int(cfg.get("v_task", 14)), model.config.N)
+        pairs = heldout_pairs(cfg.get("task"), seed, int(cfg.get("count", 100)),
+                              _len_range(cfg), int(cfg.get("v_task", 14)),
+                              model.config.N)
         acc = exact_match(model, pairs, scfg)
         _emit(cfg, [f"variant=eval metric=exact_match value={acc:.6f}"])
         return 0
@@ -241,9 +254,11 @@ def cmd_ablate(cfg: RunConfig) -> int:
     variants = [{"s": 1}, {"s": 2}]
     if task == "copy":
         variants = [{"s": 2, "length_pred": True}, {"s": 2, "length_pred": False}]
+    if "unroll_terms" in cfg.train:
+        raise ConfigError("ablate sets train.unroll_terms per variant")
     table, machine = ablation_report(
-        task, variants,
-        train_kwargs={"total_steps": int(cfg.train.get("total_steps", 1200))},
+        task, variants, train_kwargs=_task_train_kwargs(cfg),
+        sampler_cfg=replace(ABLATION_SAMPLER, **cfg.sampler),
         seed=int(cfg.get("seed", 0)))
     _emit(cfg, table.splitlines() + machine)
     return 0

@@ -1,26 +1,25 @@
 """Run configuration: flat `key = value` files plus `--key value` overrides.
 
 Nested settings use dotted keys (model.layers, train.total_steps,
-sampler.temperature). Unknown keys are rejected so typos fail loudly.
+sampler.temperature), one per field of the section's config class.
+Unknown keys and non-integer values for integer fields are rejected so
+typos fail loudly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .model import ModelConfig
+from .sampling import SamplerConfig
+from .training import TrainConfig
+
 
 class ConfigError(ValueError):
     """Bad config file or flag."""
 
 
-_MODEL_KEYS = {"v", "N", "layers", "d_model", "heads", "d_ff", "dropout",
-               "mode", "N_source", "d_LP", "length_downsample", "dtype"}
-_TRAIN_KEYS = {"unroll_terms", "batch_size", "total_steps", "warmup_steps",
-               "lr_start", "lr_peak", "lr_min", "label_smoothing",
-               "weight_decay", "beta1", "beta2", "adam_eps",
-               "ckpt_average_window", "snapshot_interval", "seed"}
-_SAMPLER_KEYS = {"T", "temperature", "strategy", "update_fraction", "schedule",
-                 "rerank_width", "uncertain_share", "early_stop", "seed"}
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "sampler": SamplerConfig}
 _TOP_KEYS = {"task", "corpus", "vocab", "checkpoint", "checkpoint_out", "out",
              "report", "seed", "count", "template", "temps", "steps",
              "strategy", "v_task", "len_min", "len_max", "input",
@@ -56,15 +55,16 @@ def set_key(cfg: RunConfig, key: str, raw_value: str):
     value = _convert(raw_value)
     if "." in key:
         section, sub = key.split(".", 1)
-        table = {"model": (_MODEL_KEYS, cfg.model),
-                 "train": (_TRAIN_KEYS, cfg.train),
-                 "sampler": (_SAMPLER_KEYS, cfg.sampler)}.get(section)
-        if table is None:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section: {section!r}")
-        allowed, target = table
-        if sub not in allowed:
+        types = {f.name: f.type for f in fields(_SECTIONS[section])}
+        if sub not in types:
             raise ConfigError(f"unknown config key: {key!r}")
-        target[sub] = value
+        if types[sub] in ("int", "int | None") and not isinstance(value, int):
+            if not (isinstance(value, float) and value.is_integer()):
+                raise ConfigError(f"{key} must be an integer, got {raw_value.strip()!r}")
+            value = int(value)
+        getattr(cfg, section)[sub] = value
     else:
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown config key: {key!r}")

@@ -1,6 +1,6 @@
 """The fixed corruption distribution q(x^c | x).
 
-A uniform corruption proportion is drawn per call, a Bernoulli position
+A uniform corruption proportion is drawn per example, a Bernoulli position
 mask at that proportion, and uniform replacement tokens over the full
 vocabulary (PAD and UNK included, matching the uniform prior that chain
 sampling starts from). Corruption never reads the token values: two
@@ -9,45 +9,30 @@ inputs corrupted with identical rng streams share (alpha, mask, noise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class CorruptionSample:
-    corrupted: np.ndarray  # [N] int ids
-    alpha: float
-    mask: np.ndarray       # [N] uint8, 1 = corrupted position
-    noise: np.ndarray      # [N] int ids
+def corrupt_batch(x: np.ndarray, v: int, rng: np.random.Generator,
+                  alpha: float | np.ndarray | None = None) -> np.ndarray:
+    """Corrupt each row of x [B, N]: per-row alpha, per-position Bernoulli
+    mask at alpha, uniform noise tokens at the masked positions.
 
-
-def corrupt(x: np.ndarray, v: int, rng: np.random.Generator,
-            alpha: float | None = None) -> CorruptionSample:
-    """Corrupt one sequence; alpha may be forced for testing/oracles."""
+    alpha is drawn per row unless forced (a scalar or anything that
+    broadcasts against [B, 1]), for tests and oracles.
+    """
     x = np.asarray(x, dtype=np.int64)
     if x.min() < 0 or x.max() >= v:
         raise ValueError(f"token id out of range [0, {v})")
-    if alpha is None:
-        alpha = float(rng.random())
-    mask = (rng.random(x.shape[0]) < alpha).astype(np.uint8)
-    noise = rng.integers(0, v, size=x.shape[0])
-    corrupted = np.where(mask == 1, noise, x)
-    return CorruptionSample(corrupted=corrupted, alpha=alpha, mask=mask, noise=noise)
-
-
-def corrupt_batch(x: np.ndarray, v: int, rng: np.random.Generator) -> np.ndarray:
-    """Independent alpha per example, per-position Bernoulli mask and noise."""
-    x = np.asarray(x, dtype=np.int64)
     B, N = x.shape
-    alpha = rng.random((B, 1))
+    if alpha is None:
+        alpha = rng.random((B, 1))
     mask = rng.random((B, N)) < alpha
     noise = rng.integers(0, v, size=(B, N))
     return np.where(mask, noise, x)
 
 
 def corruption_matrix(corrupt_prob: float, v: int) -> np.ndarray:
-    """Per-token marginal of corrupt at fixed alpha: (1-p) I + p V, V = 1/v."""
+    """Per-token marginal of corrupt_batch at fixed alpha: (1-p) I + p V, V = 1/v."""
     if not 0.0 <= corrupt_prob <= 1.0:
         raise ValueError(f"corrupt_prob must be in [0, 1], got {corrupt_prob}")
     if v < 2:

@@ -149,12 +149,15 @@ def make_batch(corpus: list[TokenSeq], batch_size: int, N: int,
     return rows
 
 
-def synth_task_gen(seed: int, count: int, kind: str, len_range: tuple[int, int],
-                   v_task: int, N: int, N_source: int | None = None) -> list[tuple[TokenSeq, TokenSeq]]:
+def synth_task_gen(perm_seed: int, draw_seed: int, count: int, kind: str,
+                   len_range: tuple[int, int], v_task: int,
+                   N: int) -> list[tuple[TokenSeq, TokenSeq]]:
     """Deterministic (source, target) pairs over task ids [2, 2 + v_task).
 
     copy: target = source. reverse_cipher: target = fixed substitution
-    cipher (seed-derived permutation) applied to the reversed source.
+    cipher applied to the reversed source. The cipher permutation comes
+    from perm_seed and the examples from draw_seed, so one run keeps its
+    cipher while every training batch and the held-out set draw afresh.
     """
     lo, hi = len_range
     if not (1 <= lo <= hi <= N):
@@ -163,14 +166,13 @@ def synth_task_gen(seed: int, count: int, kind: str, len_range: tuple[int, int],
         raise ValueError("v_task must be >= 1")
     if kind not in ("copy", "reverse_cipher"):
         raise ValueError(f"unknown task kind: {kind}")
-    N_source = N_source or N
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(v_task)  # cipher over task ids, fixed for the run
+    perm = np.random.default_rng(perm_seed).permutation(v_task)
+    rng = np.random.default_rng(draw_seed)
     pairs = []
     for _ in range(count):
         n = int(rng.integers(lo, hi + 1))
         toks = rng.integers(0, v_task, size=n)
-        src = np.full(N_source, PAD, dtype=np.int64)
+        src = np.full(N, PAD, dtype=np.int64)
         src[:n] = toks + 2
         if kind == "copy":
             out = toks

@@ -8,7 +8,7 @@ zero precision at any order zeroes the score.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def draw_samples(model, sampler_cfg: SamplerConfig, count: int,
     """Final chain states of `count` independent unconditional chains."""
     out = []
     for i in range(count):
-        cfg = SamplerConfig(**{**sampler_cfg.__dict__, "seed": seed + i})
+        cfg = replace(sampler_cfg, seed=seed + i)
         out.append(strip_pad(sample_chain(model, cfg).states[-1]))
     return out
 
@@ -132,7 +132,7 @@ def quality_diversity_curve(model, temperatures: list[float],
     refs = [list(r) for r in reference_corpus]
     points = []
     for k, tau in enumerate(temperatures):
-        cfg = SamplerConfig(**{**base.__dict__, "temperature": float(tau)})
+        cfg = replace(base, temperature=float(tau))
         offset = seed + 7919 * k
         quality_set = [h for h in draw_samples(model, cfg, samples_per_temp, offset) if h]
         diversity_set = [h for h in draw_samples(model, cfg, samples_per_temp,
@@ -157,12 +157,15 @@ def exact_match(model, pairs, sampler_cfg: SamplerConfig,
     for i, (src, tgt) in enumerate(pairs):
         cond = build_conditioning(model, src.ids, src.content_len,
                                   target_length=None if use_length_pred else 1)
-        cfg = SamplerConfig(**{**sampler_cfg.__dict__,
-                               "seed": sampler_cfg.seed + 65537 * i})
+        cfg = replace(sampler_cfg, seed=sampler_cfg.seed + 65537 * i)
         best, _ = sample_reranked(model, cfg, cond=cond)
         if np.array_equal(best, tgt.ids):
             hits += 1
     return hits / len(pairs)
+
+
+# the ablations decode with four reranked low-temperature chains
+ABLATION_SAMPLER = SamplerConfig(T=10, temperature=0.3, rerank_width=4)
 
 
 def ablation_report(task: str, variants: list[dict], train_kwargs: dict | None = None,
@@ -182,8 +185,8 @@ def ablation_report(task: str, variants: list[dict], train_kwargs: dict | None =
         model, heldout = experiments.train_synthetic(
             task, unroll_terms=s, length_pred=lp, seed=seed,
             **(train_kwargs or {}))
-        acc = exact_match(model, heldout, sampler_cfg or SamplerConfig(
-            T=10, temperature=0.3, rerank_width=4), use_length_pred=lp)
+        acc = exact_match(model, heldout, sampler_cfg or ABLATION_SAMPLER,
+                          use_length_pred=lp)
         rows.append((f"s={s},length_pred={'on' if lp else 'off'}", acc))
 
     width = max(len(name) for name, _ in rows)

@@ -1,4 +1,4 @@
-"""Desk-scale experiment runs shared by the CLI, scripts, and tests.
+"""Desk-scale experiment runs shared by the CLI, the benchmark and the tests.
 
 Budgets here are sized for CPU minutes: small transformers on synthetic
 sequence-to-sequence tasks and a toy character language model.
@@ -37,6 +37,33 @@ def desk_train_config(total_steps: int, batch_size: int = 32, seed: int = 0,
     return TrainConfig(**kwargs)
 
 
+# A task run seeded `seed` fixes its cipher permutation with seed + offset;
+# its training batches draw from seeds in [0, 2**31), its held-out pairs
+# from one seed above that range.
+_PERM_SEED_OFFSET = 10_000
+_HELDOUT_DRAW_SEED = 2**31 + 17
+
+
+def _train(v: int, N: int, mode: str, model_overrides: dict | None, batch_fn,
+           seed: int, total_steps: int, batch_size: int, log_fn,
+           log_every: int = 50, **train_overrides) -> DenoiserModel:
+    """Desk-config model (dropout off unless overridden), trained and averaged."""
+    mcfg = desk_model_config(v, N, mode, **{"dropout": 0.0, **(model_overrides or {})})
+    model = init_model(mcfg, np.random.default_rng(seed))
+    tcfg = desk_train_config(total_steps, batch_size, seed, **train_overrides)
+    state = make_train_state(model, tcfg)
+    train_loop(state, batch_fn, log_every=log_every, log_fn=log_fn)
+    return averaged_model(state)
+
+
+def heldout_pairs(kind: str, seed: int, count: int, len_range, v_task: int,
+                  N: int) -> list:
+    """The held-out pairs of the task run seeded `seed`: its cipher, and
+    draws that none of its training batches make."""
+    return synth_task_gen(seed + _PERM_SEED_OFFSET, _HELDOUT_DRAW_SEED, count, kind,
+                          len_range, v_task, N)
+
+
 def train_synthetic(kind: str, unroll_terms: int = 2, length_pred: bool = True,
                     seed: int = 0, v_task: int = 14, len_range=(4, 12),
                     N: int = 16, total_steps: int = 1200, batch_size: int = 32,
@@ -46,59 +73,41 @@ def train_synthetic(kind: str, unroll_terms: int = 2, length_pred: bool = True,
     """Train an encoder-decoder denoiser on copy / reverse_cipher.
 
     With length_pred off every batch carries a constant target length of 1
-    so the length embedding is uninformative. Held-out pairs come from a
-    seed-separated stream. Returns (averaged model, held-out pairs).
+    so the length embedding is uninformative. Returns (averaged model,
+    held-out pairs).
     """
-    v = v_task + 2
-    mkwargs = dict(dropout=0.0)
-    mkwargs.update(model_overrides or {})
-    mcfg = desk_model_config(v, N, "encoder_decoder", **mkwargs)
-    model = init_model(mcfg, np.random.default_rng(seed))
-    tcfg = desk_train_config(total_steps, batch_size, seed,
-                             unroll_terms=unroll_terms, **train_overrides)
-    state = make_train_state(model, tcfg)
-
-    task_seed = seed + 10_000  # shared by train stream and cipher permutation
-
     def batch_fn(step, rng):
         draw = int(rng.integers(0, 2**31))
-        batch_pairs = _task_pairs(task_seed, draw, batch_size, kind, len_range, v_task, N)
-        batch = pairs_to_batch(batch_pairs)
+        batch = pairs_to_batch(synth_task_gen(seed + _PERM_SEED_OFFSET, draw, batch_size,
+                                              kind, len_range, v_task, N))
         if not length_pred:
             batch = PairBatch(batch.sources, batch.targets,
                               batch.source_lengths,
                               np.ones_like(batch.target_lengths))
         return batch
 
-    train_loop(state, batch_fn, log_fn=log_fn)
-    heldout = _task_pairs(task_seed, 2**31 + 17, heldout_count, kind,
-                          len_range, v_task, N)
-    return averaged_model(state), heldout
+    model = _train(v_task + 2, N, "encoder_decoder", model_overrides, batch_fn, seed,
+                   total_steps, batch_size, log_fn, unroll_terms=unroll_terms,
+                   **train_overrides)
+    return model, heldout_pairs(kind, seed, heldout_count, len_range, v_task, N)
 
 
-def _task_pairs(perm_seed: int, draw_seed: int, count: int, kind: str,
-                len_range, v_task: int, N: int) -> list:
-    """Pairs with the cipher permutation fixed by perm_seed but fresh draws.
+def train_lm(lines: list[str], vocab: Vocab, seed: int = 0, N: int = 32,
+             total_steps: int = 800, batch_size: int = 32, log_every: int = 50,
+             log_fn=None, model_overrides: dict | None = None,
+             **train_overrides) -> DenoiserModel:
+    """Unconditional denoiser on text, one document per line.
 
-    synth_task_gen ties permutation and example draws to one seed; here the
-    permutation stays constant across the run while draws vary per step.
+    Documents are cropped to 8N tokens when encoded; each batch row is a
+    random N-token window of one document.
     """
-    rng = np.random.default_rng(perm_seed)
-    perm = rng.permutation(v_task)
-    draw = np.random.default_rng(draw_seed)
-    lo, hi = len_range
-    pairs = []
-    from .data import TokenSeq
-    for _ in range(count):
-        n = int(draw.integers(lo, hi + 1))
-        toks = draw.integers(0, v_task, size=n)
-        src = np.full(N, 0, dtype=np.int64)
-        src[:n] = toks + 2
-        out = toks if kind == "copy" else perm[toks[::-1]]
-        tgt = np.full(N, 0, dtype=np.int64)
-        tgt[:n] = out + 2
-        pairs.append((TokenSeq(src, n), TokenSeq(tgt, n)))
-    return pairs
+    corpus = [encode(ln, vocab, 8 * N) for ln in lines]
+
+    def batch_fn(step, rng):
+        return make_batch(corpus, batch_size, N, rng)
+
+    return _train(vocab.size, N, "unconditional", model_overrides, batch_fn, seed,
+                  total_steps, batch_size, log_fn, log_every, **train_overrides)
 
 
 def train_toy_lm(seed: int = 0, total_steps: int = 800, batch_size: int = 32,
@@ -107,17 +116,9 @@ def train_toy_lm(seed: int = 0, total_steps: int = 800, batch_size: int = 32,
     """Character-level toy language model on the template-grammar corpus."""
     lines = toy_char_corpus(seed + 5, corpus_docs)
     vocab = Vocab.from_corpus(lines, kind="char")
-    corpus = [encode(ln, vocab, N) for ln in lines]
-    mcfg = desk_model_config(vocab.size, N, "unconditional", dropout=0.0)
-    model = init_model(mcfg, np.random.default_rng(seed))
-    tcfg = desk_train_config(total_steps, batch_size, seed, **train_overrides)
-    state = make_train_state(model, tcfg)
-
-    def batch_fn(step, rng):
-        return make_batch(corpus, batch_size, N, rng)
-
-    train_loop(state, batch_fn, log_fn=log_fn)
-    return averaged_model(state), vocab, lines
+    model = train_lm(lines, vocab, seed, N, total_steps, batch_size, log_fn=log_fn,
+                     **train_overrides)
+    return model, vocab, lines
 
 
 def bench_report(model: DenoiserModel, T_values: list[int], batch: int = 32,

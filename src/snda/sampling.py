@@ -10,7 +10,7 @@ parallel chains. Tiny instances get an exact enumeration oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,26 +180,18 @@ def model_score(model: DenoiserModel, y: np.ndarray,
     return cross_entropy(logits, y).item()
 
 
-def rerank(candidates: list, model: DenoiserModel,
-           cond: Conditioning | None = None):
-    """Candidate with minimal model score; ties break at the lowest index."""
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
-    scores = [model_score(model, c, cond) for c in candidates]
-    best = int(np.argmin(scores))
-    return candidates[best], scores
-
-
 def sample_reranked(model: DenoiserModel, cfg: SamplerConfig,
                     init: Template | None = None,
                     cond: Conditioning | None = None):
-    """Run rerank_width independent chains and keep the best-scoring one."""
-    finals = []
-    for i in range(cfg.rerank_width):
-        sub = SamplerConfig(**{**cfg.__dict__, "seed": cfg.seed + 1000003 * i})
-        finals.append(sample_chain(model, sub, init, cond).states[-1])
-    best, scores = rerank(finals, model, cond)
-    return best, scores
+    """Run rerank_width independent chains and keep the one whose final
+    state has the lowest model score; ties break at the lowest index.
+
+    Returns (best final state, every chain's final score).
+    """
+    traces = [sample_chain(model, replace(cfg, seed=cfg.seed + 1000003 * i), init, cond)
+              for i in range(cfg.rerank_width)]
+    scores = [trace.final_score for trace in traces]
+    return traces[int(np.argmin(scores))].states[-1], scores
 
 
 def dump_trace(trace: ChainTrace, vocab=None) -> str:

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from snda.checkpoint import load_checkpoint, save_checkpoint
-from snda.corruption import corrupt, corrupt_batch, corruption_matrix
+from snda.corruption import corrupt_batch, corruption_matrix
 from snda.data import encode
 from snda.evaluation import exact_match, quality_diversity_curve, strip_pad
 from snda.experiments import (bench_report, desk_model_config, train_synthetic,
@@ -97,7 +97,7 @@ def test_criterion_04_corruption_statistics():
 
     alpha = 0.37
     src = np.full(n, 2, dtype=np.int64)
-    drawn = corrupt(src, v, np.random.default_rng(1), alpha=alpha).corrupted
+    drawn = corrupt_batch(src[None], v, np.random.default_rng(1), alpha=alpha)[0]
     counts = np.bincount(drawn, minlength=v)
     expected = corruption_matrix(alpha, v)[2] * n
     pval = stats.chisquare(counts, expected).pvalue

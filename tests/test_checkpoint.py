@@ -7,15 +7,23 @@ from snda.checkpoint import (MAGIC, VERSION, CheckpointError, load_checkpoint,
                              save_checkpoint)
 
 
-def test_round_trip_bit_exact(tiny_model, tmp_path):
-    path = str(tmp_path / "m.ckpt")
-    save_checkpoint(tiny_model, path, step=17, seed=5)
+def _assert_round_trip(model, path):
+    save_checkpoint(model, path, step=17, seed=5)
     loaded, step, seed = load_checkpoint(path)
     assert (step, seed) == (17, 5)
-    assert loaded.config == tiny_model.config
-    for (k, a), (_, b) in zip(tiny_model.params.items(), loaded.params.items()):
+    assert loaded.config == model.config
+    for (k, a), (_, b) in zip(model.params.items(), loaded.params.items()):
         assert a.data.dtype == b.data.dtype
         assert np.array_equal(a.data, b.data), k
+
+
+def test_round_trip_bit_exact(tiny_model, tmp_path):
+    _assert_round_trip(tiny_model, str(tmp_path / "m.ckpt"))
+
+
+def test_float64_round_trip_bit_exact(micro_model, tmp_path):
+    assert micro_model.config.dtype == "float64"
+    _assert_round_trip(micro_model, str(tmp_path / "m.ckpt"))
 
 
 def test_two_saves_are_identical_bytes(tiny_model, tmp_path):

@@ -1,10 +1,17 @@
 """End-to-end CLI runs on tiny budgets via run(argv)."""
 
 import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snda
+from snda.checkpoint import load_checkpoint
 from snda.cli import run
 
 
@@ -128,3 +135,57 @@ def test_config_file_with_override(in_tmp, capsys):
     assert code == 0
     last = open("c.log").read().splitlines()[-1]
     assert last.startswith("step=10 ")  # the override won
+
+
+def test_train_passes_model_and_train_settings(in_tmp, capsys):
+    assert run(TRAIN_TASK + ["--model.layers", "3", "--train.lr_peak", "0.01",
+                             "--checkpoint", "deep.ckpt"]) == 0
+    assert load_checkpoint("deep.ckpt")[0].config.layers == 3
+    (in_tmp / "corpus.txt").write_text("abab\nbaba\n")
+    assert run(["train", "--corpus", "corpus.txt", "--model.N", "8", "--model.layers", "3",
+                "--train.total_steps", "4", "--train.batch_size", "4",
+                "--checkpoint", "lm.ckpt"]) == 0
+    assert load_checkpoint("lm.ckpt")[0].config.layers == 3
+
+
+@pytest.mark.parametrize("extra", [["--steps", "3"], ["--model.v", "9"],
+                                   ["--train.seed", "2"], ["--log_every", "5"]])
+def test_train_rejects_settings_it_would_drop(in_tmp, capsys, extra):
+    assert run(TRAIN_TASK + extra) == 1
+    assert not os.path.exists("model.ckpt")
+
+
+def test_train_rejects_unknown_task(in_tmp, capsys):
+    assert run(["train", "--task", "lm", "--train.total_steps", "2"]) != 0
+    assert not os.path.exists("model.ckpt")
+
+
+def _quick_start_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
+    return [ln for block in blocks for ln in block.splitlines() if ln.strip()]
+
+
+# appended to the README's commands to keep the run short; only step counts
+_FEWER_STEPS = {"train": ["--train.total_steps", "8"], "bench": ["--steps", "4"],
+                "ablate": ["--train.total_steps", "4", "--sampler.T", "2"]}
+
+
+def test_readme_quick_start_runs(in_tmp, capsys):
+    src = str(Path(snda.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    commands = _quick_start_commands()
+    assert sum(c.startswith("snda ") for c in commands) >= 10
+    for command in commands:
+        if command.startswith("snda "):
+            argv = shlex.split(command)[1:]
+            argv += _FEWER_STEPS.get(argv[0], ["--sampler.T", "2"])
+            assert run(argv) == 0, command
+        else:
+            if command.startswith("python3 "):
+                command = shlex.quote(sys.executable) + command[len("python3"):]
+            subprocess.run(command, shell=True, check=True, cwd=in_tmp, env=env)
+    assert len(open("lm.log").read().splitlines()) == 1  # 8 steps: the last line only
+    assert os.path.exists("cipher.ckpt") and os.path.exists("lm.ckpt.vocab")

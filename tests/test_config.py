@@ -18,6 +18,17 @@ def test_set_key_sections_and_types():
     assert cfg.get("task") == "copy"
 
 
+def test_integer_fields_take_integers_only():
+    cfg = RunConfig()
+    set_key(cfg, "train.total_steps", "2.0")
+    set_key(cfg, "sampler.T", "4")
+    assert cfg.train["total_steps"] == 2 and isinstance(cfg.train["total_steps"], int)
+    with pytest.raises(ConfigError):
+        set_key(cfg, "model.layers", "2.5")
+    with pytest.raises(ConfigError):
+        set_key(cfg, "train.ckpt_average_window", "ten")
+
+
 def test_unknown_keys_rejected():
     cfg = RunConfig()
     with pytest.raises(ConfigError):

@@ -123,7 +123,7 @@ def test_quality_diversity_reproducible(tiny_model):
 def test_exact_match_on_oracle_pairs(tiny_encdec):
     # untrained model almost surely misses; empty pair list scores 0
     from snda.data import synth_task_gen
-    pairs = synth_task_gen(0, 3, "copy", (2, 4), v_task=6, N=8)
+    pairs = synth_task_gen(0, 1, 3, "copy", (2, 4), v_task=6, N=8)
     cfg = SamplerConfig(T=2, temperature=0.3, rerank_width=1, seed=0)
     acc = exact_match(tiny_encdec, pairs, cfg)
     assert 0.0 <= acc <= 1.0

@@ -1,6 +1,7 @@
 """Chain sampling: steps, schedules, clamping, reranking, exact oracle."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from snda.model import build_conditioning, denoise_logits
 from snda.sampling import (ChainTrace, SamplerConfig, Template, dump_trace,
                            argmax_unrolled_step, exact_chain_prob, model_score,
-                           rerank, sample_chain, sample_reranked,
+                           sample_chain, sample_reranked,
                            sample_step_low_temp, transition_matrix,
                            triangular_count)
 
@@ -159,19 +160,26 @@ def test_template_validates_shapes():
 
 
 def test_model_score_and_rerank(tiny_model):
-    rng = np.random.default_rng(1)
-    cands = [rng.integers(0, 8, size=8) for _ in range(4)]
-    best, scores = rerank(cands, tiny_model)
-    assert len(scores) == 4
-    assert np.array_equal(best, cands[int(np.argmin(scores))])
-    # ties break at the lowest index
-    best2, _ = rerank([cands[0], cands[0].copy()], tiny_model)
-    assert best2 is not cands[0] or np.array_equal(best2, cands[0])
+    cfg = SamplerConfig(T=3, temperature=0.5, rerank_width=4, seed=0)
+    best, scores = sample_reranked(tiny_model, cfg)
+    finals = [sample_chain(tiny_model, replace(cfg, seed=cfg.seed + 1000003 * i)).states[-1]
+              for i in range(4)]
+    assert scores == [model_score(tiny_model, f) for f in finals]
+    assert np.array_equal(best, finals[int(np.argmin(scores))])
 
 
-def test_rerank_rejects_empty(tiny_model):
-    with pytest.raises(ValueError):
-        rerank([], tiny_model)
+def test_sample_reranked_scores_each_chain_once(tiny_model, monkeypatch):
+    import snda.sampling as sampling
+    traces, forwards = [], []
+    chain, logits = sampling.sample_chain, sampling.denoise_logits
+    monkeypatch.setattr(sampling, "sample_chain",
+                        lambda *a, **k: traces.append(chain(*a, **k)) or traces[-1])
+    monkeypatch.setattr(sampling, "denoise_logits",
+                        lambda *a, **k: forwards.append(1) or logits(*a, **k))
+    sample_reranked(tiny_model, SamplerConfig(T=6, temperature=0.5, rerank_width=4, seed=0))
+    # one forward per chain step, one score per chain
+    assert len(traces) == 4
+    assert len(forwards) == sum(len(t.changed) for t in traces) + 4
 
 
 def test_sample_reranked_picks_min_score(tiny_model):

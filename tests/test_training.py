@@ -74,14 +74,14 @@ def test_loss_unrolled_severs_sampled_tokens(tiny_model):
 
 
 def test_loss_unrolled_conditional_adds_length_loss(tiny_encdec):
-    pairs = synth_task_gen(0, 4, "copy", (2, 6), v_task=6, N=8)
+    pairs = synth_task_gen(0, 1, 4, "copy", (2, 6), v_task=6, N=8)
     batch = pairs_to_batch(pairs)
     loss, terms = loss_unrolled(tiny_encdec, batch, 1, np.random.default_rng(0))
     assert loss.item() > terms[0]  # length CE is added on top
 
 
 def test_loss_unrolled_rejects_pairbatch_on_unconditional(tiny_model):
-    pairs = synth_task_gen(0, 2, "copy", (2, 6), v_task=6, N=8)
+    pairs = synth_task_gen(0, 1, 2, "copy", (2, 6), v_task=6, N=8)
     with pytest.raises(ValueError):
         loss_unrolled(tiny_model, pairs_to_batch(pairs), 1,
                       np.random.default_rng(0))
