@@ -4,76 +4,27 @@ bench / ablate over config files with --key value overrides."""
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
+import textwrap
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, dump_config, parse_config_file, set_key
+from .config import ConfigError, RunConfig, parse_config_file, set_key
 from .data import PAD, Vocab, encode, decode, load_corpus, TokenSeq
-from .evaluation import (ABLATION_SAMPLER, ablation_report, exact_match,
-                         quality_diversity_curve)
-from .experiments import (bench_report, desk_model_config, heldout_pairs,
-                          train_lm, train_synthetic)
-from .model import build_conditioning, init_model
+from .evaluation import draw_samples, exact_match, quality_diversity_curve, strip_pad, translate
+from .experiments import (ABLATION_SAMPLER, ablation_report, bench_report,
+                          desk_model_config, heldout_pairs, train_lm, train_synthetic)
+from .model import init_model
 from .numerics import NumericError
-from .sampling import SamplerConfig, Template, sample_chain, sample_reranked
-
-USAGE = """usage: snda COMMAND [--config PATH] [--key value ...]
-
-commands:
-  train       train a denoiser (synthetic task or text corpus)
-  sample      unconditional sampling from a checkpoint
-  translate   conditional decoding for sources from --input
-  inpaint     fill `*` positions of --template, clamping the rest
-  eval        exact match (task) or quality/diversity curve (corpus)
-  bench       decoding speed accounting vs a causal greedy baseline
-  ablate      unroll-count / length-prediction ablation table
-
-common flags: --config PATH, --seed INT, --checkpoint PATH, --out PATH,
-  --count INT, --template STR, --temps CSV, --steps INT/CSV (chain steps;
-  train takes --train.total_steps), --strategy {low_temp,argmax_unrolled},
-  plus any dotted config key (model.*, train.*, sampler.*).
-"""
-
-_FLAG_ALIASES = {"seed", "checkpoint", "out", "count", "template", "temps",
-                 "steps", "strategy", "task", "corpus", "vocab", "input"}
-
-
-def _parse_argv(argv: list[str]) -> tuple[str, RunConfig]:
-    if not argv:
-        raise ConfigError("missing command")
-    command = argv[0]
-    if command not in ("train", "sample", "translate", "inpaint", "eval",
-                       "bench", "ablate"):
-        raise ConfigError(f"unknown command: {command!r}")
-    cfg = RunConfig()
-    i = 1
-    pending: list[tuple[str, str]] = []
-    while i < len(argv):
-        flag = argv[i]
-        if not flag.startswith("--"):
-            raise ConfigError(f"unexpected argument: {flag!r}")
-        key = flag[2:]
-        if i + 1 >= len(argv):
-            raise ConfigError(f"flag {flag} needs a value")
-        value = argv[i + 1]
-        i += 2
-        if key == "config":
-            parse_config_file(value, cfg)
-        else:
-            pending.append((key, value))
-    for key, value in pending:  # overrides win over the config file
-        set_key(cfg, key, value)
-    return command, cfg
+from .sampling import SamplerConfig, Template, sample_chain
 
 
 def _sampler_cfg(cfg: RunConfig) -> SamplerConfig:
     kwargs = dict(cfg.sampler)
     if cfg.get("steps") is not None and "T" not in kwargs:
         kwargs["T"] = int(cfg.get("steps"))
-    if cfg.get("strategy") and "strategy" not in kwargs:
-        kwargs["strategy"] = cfg.get("strategy")
     kwargs.setdefault("seed", int(cfg.get("seed", 0)))
     return SamplerConfig(**kwargs)
 
@@ -109,33 +60,13 @@ def _task_train_kwargs(cfg: RunConfig) -> dict:
                 **train_overrides)
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    if cfg.get("steps") is not None:
-        raise ConfigError("train takes its step count from --train.total_steps, "
-                          "not --steps")
-    seed = int(cfg.get("seed", 0))
-    ckpt_path = cfg.get("checkpoint_out") or cfg.get("checkpoint") or "model.ckpt"
+def _checkpoint_path(cfg: RunConfig) -> str:
+    return cfg.get("checkpoint") or "model.ckpt"
+
+
+def _save_run(cfg: RunConfig, model, lines: list[str], seed: int) -> int:
+    ckpt_path = _checkpoint_path(cfg)
     log_path = cfg.get("out") or "metrics.log"
-    lines: list[str] = []
-    task = cfg.get("task")
-    if task:
-        if cfg.get("log_every") is not None:
-            raise ConfigError("log_every applies to --corpus training; task training "
-                              "logs every 50 steps")
-        model, _ = train_synthetic(task, seed=seed, log_fn=lines.append,
-                                   **_task_train_kwargs(cfg))
-    else:
-        with open(_require(cfg, "corpus"), encoding="utf-8") as f:
-            docs = [doc for doc in (ln.rstrip("\n") for ln in f) if doc]
-        if cfg.get("vocab"):
-            vocab = Vocab.load(cfg.get("vocab"))
-        else:
-            vocab = Vocab.from_corpus(docs, kind="char")
-            vocab.save(ckpt_path + ".vocab")
-        model_overrides, train_overrides = _train_settings(cfg)
-        model = train_lm(docs, vocab, seed=seed, N=int(cfg.model.get("N", 32)),
-                         log_every=int(cfg.get("log_every", 50)), log_fn=lines.append,
-                         model_overrides=model_overrides, **train_overrides)
     with open(log_path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
     save_checkpoint(model, ckpt_path, seed=seed)
@@ -143,9 +74,33 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
+def cmd_train_task(cfg: RunConfig) -> int:
+    seed = int(cfg.get("seed", 0))
+    lines: list[str] = []
+    model, _ = train_synthetic(cfg.get("task"), seed=seed, log_fn=lines.append,
+                               **_task_train_kwargs(cfg))
+    return _save_run(cfg, model, lines, seed)
+
+
+def cmd_train_corpus(cfg: RunConfig) -> int:
+    seed = int(cfg.get("seed", 0))
+    with open(_require(cfg, "corpus"), encoding="utf-8") as f:
+        docs = [doc for doc in (ln.rstrip("\n") for ln in f) if doc]
+    if cfg.get("vocab"):
+        vocab = Vocab.load(cfg.get("vocab"))
+    else:
+        vocab = Vocab.from_corpus(docs, kind="char")
+        vocab.save(_checkpoint_path(cfg) + ".vocab")
+    model_overrides, train_overrides = _train_settings(cfg)
+    lines: list[str] = []
+    model = train_lm(docs, vocab, seed=seed, N=int(cfg.model.get("N", 32)),
+                     log_every=int(cfg.get("log_every", 50)), log_fn=lines.append,
+                     model_overrides=model_overrides, **train_overrides)
+    return _save_run(cfg, model, lines, seed)
+
+
 def _load_model(cfg: RunConfig):
-    path = _require(cfg, "checkpoint")
-    model, step, seed = load_checkpoint(path)
+    model, _, _ = load_checkpoint(_require(cfg, "checkpoint"))
     return model
 
 
@@ -154,37 +109,27 @@ def _load_vocab(cfg: RunConfig) -> Vocab:
     return Vocab.load(path)
 
 
+def _text(ids, vocab: Vocab) -> str:
+    return decode(TokenSeq(ids, len(ids)), vocab)
+
+
 def cmd_sample(cfg: RunConfig) -> int:
     model = _load_model(cfg)
     vocab = _load_vocab(cfg)
-    count = int(cfg.get("count", 1))
     scfg = _sampler_cfg(cfg)
-    out_lines = []
-    for i in range(count):
-        one = replace(scfg, seed=scfg.seed + i)
-        final = sample_chain(model, one).states[-1]
-        n = next((k for k, t in enumerate(final) if t == PAD), len(final))
-        out_lines.append(decode(TokenSeq(final, n), vocab))
-    _emit(cfg, out_lines)
+    samples = draw_samples(model, scfg, int(cfg.get("count", 1)), scfg.seed)
+    _emit(cfg, [_text(ids, vocab) for ids in samples])
     return 0
 
 
 def cmd_translate(cfg: RunConfig) -> int:
     model = _load_model(cfg)
     vocab = _load_vocab(cfg)
-    src_path = _require(cfg, "input")
-    scfg = _sampler_cfg(cfg)
-    out_lines = []
-    with open(src_path, encoding="utf-8") as f:
-        sources = [ln.rstrip("\n") for ln in f if ln.strip()]
-    for i, text in enumerate(sources):
-        src = encode(text, vocab, model.config.N_source)
-        cond = build_conditioning(model, src.ids, src.content_len)
-        one = replace(scfg, seed=scfg.seed + 65537 * i)
-        best, _ = sample_reranked(model, one, cond=cond)
-        n = next((k for k, t in enumerate(best) if t == PAD), len(best))
-        out_lines.append(decode(TokenSeq(best, n), vocab))
-    _emit(cfg, out_lines)
+    with open(_require(cfg, "input"), encoding="utf-8") as f:
+        sources = [encode(ln.rstrip("\n"), vocab, model.config.N_source)
+                   for ln in f if ln.strip()]
+    bests = translate(model, sources, _sampler_cfg(cfg))
+    _emit(cfg, [_text(strip_pad(best), vocab) for best in bests])
     return 0
 
 
@@ -192,8 +137,7 @@ def cmd_inpaint(cfg: RunConfig) -> int:
     model = _load_model(cfg)
     vocab = _load_vocab(cfg)
     text = _require(cfg, "template")
-    char_level = bool(cfg.get("char_template", vocab.kind == "char"))
-    parts = list(text) if char_level else text.split()
+    parts = list(text) if vocab.kind == "char" else text.split()
     N = model.config.N
     tokens = np.full(N, PAD, dtype=np.int64)
     clamp = np.ones(N, dtype=bool)
@@ -209,24 +153,26 @@ def cmd_inpaint(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval_task(cfg: RunConfig) -> int:
+    model = _load_model(cfg)
+    pairs = heldout_pairs(cfg.get("task"), int(cfg.get("seed", 0)),
+                          int(cfg.get("count", 100)), _len_range(cfg),
+                          int(cfg.get("v_task", 14)), model.config.N)
+    acc = exact_match(model, pairs, _sampler_cfg(cfg))
+    _emit(cfg, [f"variant=eval metric=exact_match value={acc:.6f}"])
+    return 0
+
+
+def cmd_eval_corpus(cfg: RunConfig) -> int:
     model = _load_model(cfg)
     scfg = _sampler_cfg(cfg)
-    seed = int(cfg.get("seed", 0))
-    if cfg.get("task"):
-        pairs = heldout_pairs(cfg.get("task"), seed, int(cfg.get("count", 100)),
-                              _len_range(cfg), int(cfg.get("v_task", 14)),
-                              model.config.N)
-        acc = exact_match(model, pairs, scfg)
-        _emit(cfg, [f"variant=eval metric=exact_match value={acc:.6f}"])
-        return 0
     corpus_path = _require(cfg, "corpus")
     vocab = _load_vocab(cfg)
     refs = [enc.ids[: enc.content_len].tolist()
             for enc in load_corpus(corpus_path, vocab, model.config.N)]
     temps = [float(t) for t in str(_require(cfg, "temps")).split(",")]
     points = quality_diversity_curve(model, temps, int(cfg.get("count", 50)),
-                                     refs, sampler_cfg=scfg, seed=seed)
+                                     refs, sampler_cfg=scfg, seed=int(cfg.get("seed", 0)))
     _emit(cfg, [f"variant=tau{p.temperature} metric=quality_bleu value={p.quality_bleu:.6f}"
                 for p in points]
                + [f"variant=tau{p.temperature} metric=self_bleu value={p.self_bleu:.6f}"
@@ -235,16 +181,19 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    if cfg.get("checkpoint"):
+    seed = int(cfg.get("seed", 0))
+    if "checkpoint" in cfg.top:
         model = _load_model(cfg)
     else:
-        mcfg = desk_model_config(int(cfg.model.get("v", 32)),
-                                 int(cfg.model.get("N", 64)), "unconditional",
-                                 dropout=0.0)
-        model = init_model(mcfg, np.random.default_rng(int(cfg.get("seed", 0))))
+        for key in ("mode", "N_source"):
+            if key in cfg.model:
+                raise ConfigError(f"bench times an unconditional model; model.{key} "
+                                  "cannot be set")
+        mcfg = desk_model_config(mode="unconditional",
+                                 **{"v": 32, "N": 64, "dropout": 0.0, **cfg.model})
+        model = init_model(mcfg, np.random.default_rng(seed))
     T_values = [int(t) for t in str(cfg.get("steps", "4,8,10,16")).split(",")]
-    text, _ = bench_report(model, T_values, batch=int(cfg.get("count", 32)),
-                           seed=int(cfg.get("seed", 0)))
+    text, _ = bench_report(model, T_values, batch=int(cfg.get("count", 32)), seed=seed)
     _emit(cfg, text.splitlines())
     return 0
 
@@ -266,28 +215,127 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 def _emit(cfg: RunConfig, lines: list[str]):
     text = "\n".join(lines) + "\n"
-    out = cfg.get("report") or cfg.get("out")
+    out = cfg.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as f:
             f.write(text)
     sys.stdout.write(text)
 
 
-_COMMANDS = {
-    "train": cmd_train, "sample": cmd_sample, "translate": cmd_translate,
-    "inpaint": cmd_inpaint, "eval": cmd_eval, "bench": cmd_bench,
-    "ablate": cmd_ablate,
-}
+@dataclass(frozen=True)
+class Branch:
+    """A command, or the branch of one that its `select` key picks, with the
+    function that runs it and the top-level keys and config sections (every
+    key in them) that it reads."""
+
+    command: str
+    select: str
+    fn: Callable[[RunConfig], int]
+    summary: str
+    keys: tuple[str, ...]
+    sections: tuple[str, ...] = ()
+
+    @property
+    def name(self) -> str:
+        return f"{self.command} --{self.select}" if self.select else self.command
+
+
+def _branch(command, select, fn, summary, keys, sections=""):
+    return Branch(command, select, fn, summary, tuple(keys.split()), tuple(sections.split()))
+
+
+_TASK_KEYS = "task seed v_task len_min len_max"
+_DECODE_KEYS = "checkpoint vocab seed steps out"
+
+# A command runs the first of its branches whose `select` key is set, else
+# its last branch.
+COMMANDS = [
+    _branch("train", "task", cmd_train_task, "train a denoiser on a synthetic task",
+            _TASK_KEYS + " checkpoint out", "model train"),
+    _branch("train", "corpus", cmd_train_corpus, "train a denoiser on a text corpus",
+            "corpus vocab seed log_every checkpoint out", "model train"),
+    _branch("sample", "", cmd_sample, "unconditional sampling from a checkpoint",
+            _DECODE_KEYS + " count", "sampler"),
+    _branch("translate", "", cmd_translate, "conditional decoding of each line of --input",
+            _DECODE_KEYS + " input", "sampler"),
+    _branch("inpaint", "", cmd_inpaint, "fill `*` positions of --template, clamping the rest",
+            _DECODE_KEYS + " template", "sampler"),
+    _branch("eval", "task", cmd_eval_task, "exact match on the task's held-out pairs",
+            _TASK_KEYS + " checkpoint count steps out", "sampler"),
+    _branch("eval", "corpus", cmd_eval_corpus, "quality/diversity curve against a corpus",
+            _DECODE_KEYS + " corpus temps count", "sampler"),
+    _branch("bench", "checkpoint", cmd_bench, "decoding speed of a trained model",
+            "checkpoint steps count seed out"),
+    _branch("bench", "", cmd_bench, "decoding speed of a desk model vs causal greedy decoding",
+            "steps count seed out", "model"),
+    _branch("ablate", "", cmd_ablate, "unroll-count / length-prediction ablation table",
+            _TASK_KEYS + " out", "model train sampler"),
+]
+
+# every top-level key some command reads
+TOP_KEYS = frozenset(k for b in COMMANDS for k in b.keys)
+
+
+def _usage() -> str:
+    lines = ["usage: snda COMMAND [--config PATH] [--key value ...]", "",
+             "Settings are --key value flags or `key = value` lines of a --config",
+             "file (flags win). A command reads only the settings listed for it;",
+             "any other is an error. --model.*, --train.* and --sampler.* stand",
+             "for every field of that section. --steps is the chain length",
+             "(sampler.T), or bench's comma-separated list of T values.", "",
+             "commands:"]
+    for b in COMMANDS:
+        reads = [f"--{k}" for k in b.keys] + [f"--{s}.*" for s in b.sections]
+        lines += [f"  {b.name:<18}  {b.summary}",
+                  textwrap.fill(" ".join(reads), 78, initial_indent=" " * 6,
+                                subsequent_indent=" " * 6)]
+    return "\n".join(lines) + "\n"
+
+
+USAGE = _usage()
+
+
+def _parse_argv(argv: list[str]) -> tuple[Branch, RunConfig]:
+    if not argv:
+        raise ConfigError("missing command")
+    branches = [b for b in COMMANDS if b.command == argv[0]]
+    if not branches:
+        raise ConfigError(f"unknown command: {argv[0]!r}")
+    cfg = RunConfig()
+    i = 1
+    pending: list[tuple[str, str]] = []
+    while i < len(argv):
+        flag = argv[i]
+        if not flag.startswith("--"):
+            raise ConfigError(f"unexpected argument: {flag!r}")
+        key = flag[2:]
+        if i + 1 >= len(argv):
+            raise ConfigError(f"flag {flag} needs a value")
+        value = argv[i + 1]
+        i += 2
+        if key == "config":
+            parse_config_file(value, cfg)
+        else:
+            pending.append((key, value))
+    for key, value in pending:  # overrides win over the config file
+        set_key(cfg, key, value)
+    branch = next((b for b in branches if b.select in cfg.top), branches[-1])
+    unread = [k for k in cfg.top if k not in branch.keys] + [
+        f"{s}.{k}" for s in ("model", "train", "sampler") if s not in branch.sections
+        for k in getattr(cfg, s)]
+    if unread:
+        raise ConfigError(f"snda {branch.name} does not read --{unread[0]}")
+    return branch, cfg
 
 
 def run(argv: list[str]) -> int:
     try:
-        command, cfg = _parse_argv(argv)
+        branch, cfg = _parse_argv(argv)
     except (ConfigError, FileNotFoundError) as e:
         sys.stderr.write(f"error: {e}\n{USAGE}")
         return 1
     try:
-        return _COMMANDS[command](cfg)
+        return branch.fn(cfg)
     except (ConfigError, FileNotFoundError) as e:
         sys.stderr.write(f"error: {e}\n{USAGE}")
         return 1

@@ -1,7 +1,8 @@
 """Run configuration: flat `key = value` files plus `--key value` overrides.
 
 Nested settings use dotted keys (model.layers, train.total_steps,
-sampler.temperature), one per field of the section's config class.
+sampler.temperature), one per field of the section's config class;
+top-level keys are those some command of `snda.cli` reads.
 Unknown keys and non-integer values for integer fields are rejected so
 typos fail loudly.
 """
@@ -20,10 +21,6 @@ class ConfigError(ValueError):
 
 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "sampler": SamplerConfig}
-_TOP_KEYS = {"task", "corpus", "vocab", "checkpoint", "checkpoint_out", "out",
-             "report", "seed", "count", "template", "temps", "steps",
-             "strategy", "v_task", "len_min", "len_max", "input",
-             "char_template", "log_every"}
 
 
 @dataclass
@@ -66,7 +63,10 @@ def set_key(cfg: RunConfig, key: str, raw_value: str):
             value = int(value)
         getattr(cfg, section)[sub] = value
     else:
-        if key not in _TOP_KEYS:
+        # top-level keys are those some command reads; the command table
+        # lives in cli, which imports this module
+        from .cli import TOP_KEYS
+        if key not in TOP_KEYS:
             raise ConfigError(f"unknown config key: {key!r}")
         cfg.top[key] = value
 
@@ -83,15 +83,3 @@ def parse_config_file(path: str, cfg: RunConfig | None = None) -> RunConfig:
             key, _, value = text.partition("=")
             set_key(cfg, key.strip(), value)
     return cfg
-
-
-def dump_config(cfg: RunConfig) -> str:
-    """Effective config as a re-parseable `key = value` listing."""
-    lines = []
-    for k in sorted(cfg.top):
-        lines.append(f"{k} = {cfg.top[k]}")
-    for section, table in (("model", cfg.model), ("train", cfg.train),
-                           ("sampler", cfg.sampler)):
-        for k in sorted(table):
-            lines.append(f"{section}.{k} = {table[k]}")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
-"""Scoring: corpus BLEU, self-BLEU, quality/diversity curves, exact match.
+"""Scoring: corpus BLEU, self-BLEU, quality/diversity curves, translation
+and exact match.
 
 One BLEU convention throughout: modified n-gram precisions up to order 4,
 geometric mean, no smoothing, standard exponential brevity penalty. A
@@ -143,55 +144,29 @@ def quality_diversity_curve(model, temperatures: list[float],
     return points
 
 
-def exact_match(model, pairs, sampler_cfg: SamplerConfig,
-                use_length_pred: bool = True) -> float:
-    """Fraction of sources whose reranked chain sample equals the target.
+def translate(model, sources, sampler_cfg: SamplerConfig,
+              use_length_pred: bool = True) -> list[np.ndarray]:
+    """Best reranked chain state for each source (a TokenSeq); source i
+    decodes with sampler seed `sampler_cfg.seed + 65537 * i`.
 
     With use_length_pred off the conditioning carries a constant length
     embedding instead of the classifier's argmax (the ablation's "no
     length prediction" arm).
     """
-    if not pairs:
-        return 0.0
-    hits = 0
-    for i, (src, tgt) in enumerate(pairs):
+    bests = []
+    for i, src in enumerate(sources):
         cond = build_conditioning(model, src.ids, src.content_len,
                                   target_length=None if use_length_pred else 1)
         cfg = replace(sampler_cfg, seed=sampler_cfg.seed + 65537 * i)
-        best, _ = sample_reranked(model, cfg, cond=cond)
-        if np.array_equal(best, tgt.ids):
-            hits += 1
+        bests.append(sample_reranked(model, cfg, cond=cond)[0])
+    return bests
+
+
+def exact_match(model, pairs, sampler_cfg: SamplerConfig,
+                use_length_pred: bool = True) -> float:
+    """Fraction of (source, target) pairs whose translation equals the target."""
+    if not pairs:
+        return 0.0
+    bests = translate(model, [src for src, _ in pairs], sampler_cfg, use_length_pred)
+    hits = sum(np.array_equal(best, tgt.ids) for best, (_, tgt) in zip(bests, pairs))
     return hits / len(pairs)
-
-
-# the ablations decode with four reranked low-temperature chains
-ABLATION_SAMPLER = SamplerConfig(T=10, temperature=0.3, rerank_width=4)
-
-
-def ablation_report(task: str, variants: list[dict], train_kwargs: dict | None = None,
-                    sampler_cfg: SamplerConfig | None = None,
-                    seed: int = 0) -> tuple[str, list[str]]:
-    """Train each variant with identical seeds/budgets; report exact match.
-
-    Variants are dicts with keys `s` (unroll terms) and `length_pred`.
-    Returns (text table, machine-readable lines `variant= metric= value=`).
-    """
-    from . import experiments
-
-    rows = []
-    for var in variants:
-        s = var.get("s", 2)
-        lp = var.get("length_pred", True)
-        model, heldout = experiments.train_synthetic(
-            task, unroll_terms=s, length_pred=lp, seed=seed,
-            **(train_kwargs or {}))
-        acc = exact_match(model, heldout, sampler_cfg or ABLATION_SAMPLER,
-                          use_length_pred=lp)
-        rows.append((f"s={s},length_pred={'on' if lp else 'off'}", acc))
-
-    width = max(len(name) for name, _ in rows)
-    table = [f"{'variant':<{width}}  exact_match"]
-    table += [f"{name:<{width}}  {acc:.4f}" for name, acc in rows]
-    machine = [f"variant={name} metric=exact_match value={acc:.6f}"
-               for name, acc in rows]
-    return "\n".join(table), machine

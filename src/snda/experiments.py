@@ -13,9 +13,11 @@ import numpy as np
 
 from .data import (PairBatch, Vocab, encode, make_batch, pairs_to_batch,
                    synth_task_gen, toy_char_corpus)
+from .evaluation import exact_match
 from .model import ModelConfig, DenoiserModel, denoise_logits, init_model
+from .sampling import SamplerConfig
 from .training import (TrainConfig, averaged_model, make_train_state,
-                       train_loop)
+                       sample_tokens, train_loop)
 
 
 def desk_model_config(v: int, N: int, mode: str, N_source: int | None = None,
@@ -121,6 +123,36 @@ def train_toy_lm(seed: int = 0, total_steps: int = 800, batch_size: int = 32,
     return model, vocab, lines
 
 
+# the ablations decode with four reranked low-temperature chains
+ABLATION_SAMPLER = SamplerConfig(T=10, temperature=0.3, rerank_width=4)
+
+
+def ablation_report(task: str, variants: list[dict], train_kwargs: dict | None = None,
+                    sampler_cfg: SamplerConfig | None = None,
+                    seed: int = 0) -> tuple[str, list[str]]:
+    """Train each variant with identical seeds/budgets; report exact match.
+
+    Variants are dicts with keys `s` (unroll terms) and `length_pred`.
+    Returns (text table, machine-readable lines `variant= metric= value=`).
+    """
+    rows = []
+    for var in variants:
+        s = var.get("s", 2)
+        lp = var.get("length_pred", True)
+        model, heldout = train_synthetic(task, unroll_terms=s, length_pred=lp, seed=seed,
+                                         **(train_kwargs or {}))
+        acc = exact_match(model, heldout, sampler_cfg or ABLATION_SAMPLER,
+                          use_length_pred=lp)
+        rows.append((f"s={s},length_pred={'on' if lp else 'off'}", acc))
+
+    width = max(len(name) for name, _ in rows)
+    table = [f"{'variant':<{width}}  exact_match"]
+    table += [f"{name:<{width}}  {acc:.4f}" for name, acc in rows]
+    machine = [f"variant={name} metric=exact_match value={acc:.6f}"
+               for name, acc in rows]
+    return "\n".join(table), machine
+
+
 def bench_report(model: DenoiserModel, T_values: list[int], batch: int = 32,
                  seed: int = 0) -> tuple[str, list[dict]]:
     """Decoding-cost comparison: chain steps vs a causal greedy baseline.
@@ -129,13 +161,9 @@ def bench_report(model: DenoiserModel, T_values: list[int], batch: int = 32,
     position) and measures wall clock for both on the same network. Paper
     reference gains are printed alongside, never asserted.
     """
-    from .sampling import SamplerConfig, sample_chain
-
     N = model.config.N
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, model.config.v, size=(batch, N))
-
-    from .training import sample_tokens
 
     def ar_decode():
         y = ids.copy()

@@ -119,18 +119,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = _make(-self.data, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(-g)
-        return out
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         out = _make(self.data * other.data, (self, other))
@@ -144,25 +132,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        out = _make(self.data / other.data, (self, other))
-        if out.requires_grad:
-            def bwd(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g / other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(-g * self.data / other.data**2, other.data.shape))
-            out._backward = bwd
-        return out
-
-    def __pow__(self, p):
-        assert np.isscalar(p)
-        out = _make(self.data ** p, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * p * self.data ** (p - 1))
-        return out
 
     def __matmul__(self, other):
         other = self._coerce(other)
@@ -203,21 +172,10 @@ class Tensor:
             out._backward = bwd
         return out
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     def relu(self):
         out = _make(np.maximum(self.data, 0), (self,))
         if out.requires_grad:
             out._backward = lambda g: self._accumulate(g * (self.data > 0))
-        return out
-
-    def tanh(self):
-        y = np.tanh(self.data)
-        out = _make(y, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * (1 - y * y))
         return out
 
 
@@ -379,20 +337,11 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
     def items(self):
         return self._params.items()
-
-    def total_count(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
     def zero_grad(self):
         for t in self._params.values():

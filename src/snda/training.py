@@ -134,8 +134,10 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
     return cfg.lr_min + 0.5 * (cfg.lr_peak - cfg.lr_min) * (1.0 + math.cos(math.pi * progress))
 
 
-def train_step(state: TrainState, batch) -> TrainState:
-    """One optimizer step: unrolled loss, Adam update with decoupled decay."""
+def train_step(state: TrainState, batch) -> tuple[float, list[float]]:
+    """One optimizer step: unrolled loss, Adam update with decoupled decay.
+
+    Returns the step's loss and its per-term reconstruction losses."""
     cfg = state.cfg
     model = state.model
     model.params.zero_grad()
@@ -163,15 +165,13 @@ def train_step(state: TrainState, batch) -> TrainState:
 
     if state.step % cfg.snapshot_interval == 0:
         state.snapshots.append(model.params.copy_values())
-    state._last_loss = loss.item()  # noqa: B010 - stashed for the log line
-    state._last_terms = terms
-    return state
+    return loss.item(), terms
 
 
-def metrics_line(state: TrainState) -> str:
+def metrics_line(state: TrainState, loss: float, terms: list[float]) -> str:
     lr = lr_schedule(state.step, state.cfg)
-    parts = [f"step={state.step}", f"loss={state._last_loss:.6f}", f"lr={lr:.10g}"]
-    parts += [f"term{i + 1}={t:.6f}" for i, t in enumerate(state._last_terms)]
+    parts = [f"step={state.step}", f"loss={loss:.6f}", f"lr={lr:.10g}"]
+    parts += [f"term{i + 1}={t:.6f}" for i, t in enumerate(terms)]
     return " ".join(parts)
 
 
@@ -182,9 +182,9 @@ def train_loop(state: TrainState, batch_fn, log_every: int = 50,
     batch_rng = np.random.default_rng(state.cfg.seed + 1)
     for _ in range(state.cfg.total_steps):
         batch = batch_fn(state.step, batch_rng)
-        train_step(state, batch)
+        loss, terms = train_step(state, batch)
         if state.step % log_every == 0 or state.step == state.cfg.total_steps:
-            line = metrics_line(state)
+            line = metrics_line(state, loss, terms)
             lines.append(line)
             if log_fn:
                 log_fn(line)

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 import snda
-from snda.checkpoint import load_checkpoint
+from snda import cli, evaluation
+from snda.checkpoint import load_checkpoint, save_checkpoint
 from snda.cli import run
+from snda.data import Vocab, decode, encode, TokenSeq
+from snda.sampling import SamplerConfig
 
 
 @pytest.fixture
@@ -158,6 +161,74 @@ def test_train_rejects_settings_it_would_drop(in_tmp, capsys, extra):
 def test_train_rejects_unknown_task(in_tmp, capsys):
     assert run(["train", "--task", "lm", "--train.total_steps", "2"]) != 0
     assert not os.path.exists("model.ckpt")
+
+
+@pytest.fixture
+def tiny_ckpts(in_tmp, tiny_model, tiny_encdec):
+    """lm.ckpt (unconditional) and mt.ckpt (encoder-decoder), both v=8 N=8
+    over the char vocabulary a..f, plus a source file and a config file."""
+    for name, model in (("lm.ckpt", tiny_model), ("mt.ckpt", tiny_encdec)):
+        save_checkpoint(model, name)
+        Vocab(list("abcdef"), kind="char").save(name + ".vocab")
+    (in_tmp / "src.txt").write_text("abc\nfed\ncab\n")
+    (in_tmp / "temps.cfg").write_text("temps = 0.9\n")
+    return in_tmp
+
+
+@pytest.mark.parametrize("argv, unread", [
+    ("sample --checkpoint lm.ckpt --steps 1 --temps 0.9", "temps"),
+    ("sample --checkpoint lm.ckpt --steps 1 --config temps.cfg", "temps"),
+    ("translate --checkpoint mt.ckpt --input src.txt --steps 1 --count 2", "count"),
+    ("inpaint --checkpoint lm.ckpt --template a*b --steps 1 --count 2", "count"),
+    ("eval --checkpoint mt.ckpt --task copy --v_task 6 --len_min 2 --len_max 6 --count 2 "
+     "--steps 1 --temps 0.5", "temps"),
+    ("bench --checkpoint lm.ckpt --steps 1 --count 2 --model.layers 3", "model.layers"),
+    ("ablate --task copy --v_task 6 --len_min 2 --len_max 6 --model.N 8 "
+     "--train.total_steps 2 --train.batch_size 4 --sampler.T 1 --checkpoint lm.ckpt",
+     "checkpoint"),
+], ids=["sample-flag", "sample-config", "translate", "inpaint", "eval-task", "bench-checkpoint",
+        "ablate"])
+def test_command_rejects_keys_it_does_not_read(tiny_ckpts, capsys, argv, unread):
+    before = sorted(os.listdir("."))
+    assert run(argv.split() + ["--out", "report.txt"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: snda {argv.split()[0]}" in err and f"does not read --{unread}" in err
+    assert sorted(os.listdir(".")) == before
+
+
+def test_bench_passes_model_settings(in_tmp, capsys, monkeypatch):
+    seen = []
+
+    def bench_report(model, T_values, batch, seed):
+        seen.append(model)
+        return "", []
+
+    monkeypatch.setattr(cli, "bench_report", bench_report)
+    assert run(["bench", "--model.layers", "3", "--model.v", "8", "--model.N", "8",
+                "--model.d_model", "32", "--steps", "2"]) == 0
+    assert (seen[0].config.layers, seen[0].config.d_model, seen[0].config.v) == (3, 32, 8)
+    assert run(["bench", "--model.mode", "encoder_decoder"]) == 1
+    assert len(seen) == 1
+
+
+def test_sample_prints_draw_samples(tiny_ckpts, tiny_model, capsys):
+    assert run(["sample", "--checkpoint", "lm.ckpt", "--count", "4", "--steps", "3",
+                "--seed", "5"]) == 0
+    vocab = Vocab.load("lm.ckpt.vocab")
+    want = [decode(TokenSeq(ids, len(ids)), vocab) for ids in evaluation.draw_samples(
+        tiny_model, SamplerConfig(T=3, seed=5), 4, 5)]
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_translate_prints_evaluation_translate(tiny_ckpts, tiny_encdec, capsys):
+    assert run(["translate", "--checkpoint", "mt.ckpt", "--input", "src.txt", "--steps", "3",
+                "--seed", "5", "--sampler.rerank_width", "2"]) == 0
+    vocab = Vocab.load("mt.ckpt.vocab")
+    sources = [encode(text, vocab, 8) for text in ("abc", "fed", "cab")]
+    bests = evaluation.translate(tiny_encdec, sources,
+                                 SamplerConfig(T=3, seed=5, rerank_width=2))
+    want = [decode(TokenSeq(best, len(evaluation.strip_pad(best))), vocab) for best in bests]
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def _quick_start_commands():

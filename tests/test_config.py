@@ -1,9 +1,8 @@
-"""Config files, dotted keys, overrides, round trips."""
+"""Config files, dotted keys, overrides."""
 
 import pytest
 
-from snda.config import (ConfigError, RunConfig, dump_config,
-                         parse_config_file, set_key)
+from snda.config import ConfigError, RunConfig, parse_config_file, set_key
 
 
 def test_set_key_sections_and_types():
@@ -61,15 +60,3 @@ def test_parse_config_rejects_bad_lines(tmp_path):
     with pytest.raises(ConfigError):
         parse_config_file(str(path))
 
-
-def test_dump_config_round_trips(tmp_path):
-    cfg = RunConfig()
-    set_key(cfg, "task", "copy")
-    set_key(cfg, "seed", "3")
-    set_key(cfg, "model.N", "16")
-    set_key(cfg, "train.total_steps", "100")
-    text = dump_config(cfg)
-    path = tmp_path / "dump.cfg"
-    path.write_text(text)
-    again = parse_config_file(str(path))
-    assert again == cfg

@@ -114,16 +114,16 @@ def test_train_step_reduces_loss():
     rng = np.random.default_rng(123)
     batch = rng.integers(0, 8, size=(16, 8))
     for _ in range(60):
-        train_step(state, batch)
+        loss, _ = train_step(state, batch)
         if first is None:
-            first = state._last_loss
-    assert state._last_loss < first
+            first = loss
+    assert loss < first
 
 
 def test_metrics_line_format():
     state = _tiny_state()
-    train_step(state, _batch_fn(0, np.random.default_rng(0)))
-    line = metrics_line(state)
+    loss, terms = train_step(state, _batch_fn(0, np.random.default_rng(0)))
+    line = metrics_line(state, loss, terms)
     parts = dict(p.split("=") for p in line.split())
     assert set(parts) == {"step", "loss", "lr", "term1", "term2"}
     float(parts["loss"]), float(parts["lr"])
