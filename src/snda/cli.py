@@ -21,11 +21,19 @@ from .numerics import NumericError
 from .sampling import SamplerConfig, Template, sample_chain
 
 
-def _sampler_cfg(cfg: RunConfig) -> SamplerConfig:
+def _sampler_cfg(cfg: RunConfig, exclusive=("steps", "seed")) -> SamplerConfig:
+    """The sampler.* settings, with --steps standing for sampler.T and --seed
+    for sampler.seed. Setting both keys of an `exclusive` pair is an error,
+    since one of them would be dropped."""
     kwargs = dict(cfg.sampler)
-    if cfg.get("steps") is not None and "T" not in kwargs:
-        kwargs["T"] = int(cfg.get("steps"))
-    kwargs.setdefault("seed", int(cfg.get("seed", 0)))
+    for top, key in (("steps", "T"), ("seed", "seed")):
+        if top not in cfg.top:
+            continue
+        if key not in kwargs:
+            kwargs[key] = int(cfg.top[top])
+        elif top in exclusive:
+            raise ConfigError(f"--{top} and --sampler.{key} both set sampler.{key}; "
+                              "give one of them")
     return SamplerConfig(**kwargs)
 
 
@@ -158,7 +166,8 @@ def cmd_eval_task(cfg: RunConfig) -> int:
     pairs = heldout_pairs(cfg.get("task"), int(cfg.get("seed", 0)),
                           int(cfg.get("count", 100)), _len_range(cfg),
                           int(cfg.get("v_task", 14)), model.config.N)
-    acc = exact_match(model, pairs, _sampler_cfg(cfg))
+    # --seed also picks the task's held-out pairs, so --sampler.seed may differ
+    acc = exact_match(model, pairs, _sampler_cfg(cfg, exclusive=("steps",)))
     _emit(cfg, [f"variant=eval metric=exact_match value={acc:.6f}"])
     return 0
 
@@ -184,6 +193,9 @@ def cmd_bench(cfg: RunConfig) -> int:
     seed = int(cfg.get("seed", 0))
     if "checkpoint" in cfg.top:
         model = _load_model(cfg)
+        if model.config.mode != "unconditional":
+            raise ConfigError(f"bench times unconditional decoding; {cfg.get('checkpoint')} "
+                              f"holds an {model.config.mode} model")
     else:
         for key in ("mode", "N_source"):
             if key in cfg.model:
@@ -282,7 +294,11 @@ def _usage() -> str:
              "file (flags win). A command reads only the settings listed for it;",
              "any other is an error. --model.*, --train.* and --sampler.* stand",
              "for every field of that section. --steps is the chain length",
-             "(sampler.T), or bench's comma-separated list of T values.", "",
+             "(sampler.T), or bench's comma-separated list of T values; where a",
+             "command decodes, --seed is sampler.seed. Setting a value twice",
+             "(--steps with --sampler.T, --seed with --sampler.seed) is an error,",
+             "except --seed with --sampler.seed on eval --task, whose --seed also",
+             "picks the held-out pairs.", "",
              "commands:"]
     for b in COMMANDS:
         reads = [f"--{k}" for k in b.keys] + [f"--{s}.*" for s in b.sections]

@@ -15,7 +15,14 @@ import numpy as np
 
 from .data import PAD
 from .model import build_conditioning
-from .sampling import SamplerConfig, sample_chain, sample_reranked
+from .numerics import no_grad
+from .sampling import SamplerConfig, rerank, rerank_seeds, sample_chains
+
+# Chain rows per batched decode in draw_samples and translate. It bounds the
+# memory of a large input; at the desk config 32 rows decode as fast per row
+# as 64 (measured on one core) and keep the activations a quarter of a MB
+# per [rows, N, d] array.
+CHAIN_ROWS = 32
 
 
 @dataclass
@@ -106,11 +113,13 @@ def strip_pad(ids: np.ndarray) -> list[int]:
 
 def draw_samples(model, sampler_cfg: SamplerConfig, count: int,
                  seed: int) -> list[list[int]]:
-    """Final chain states of `count` independent unconditional chains."""
+    """Final chain states of `count` independent unconditional chains, chain
+    i seeded `seed + i`, decoded in batches."""
     out = []
-    for i in range(count):
-        cfg = replace(sampler_cfg, seed=seed + i)
-        out.append(strip_pad(sample_chain(model, cfg).states[-1]))
+    for lo in range(0, count, CHAIN_ROWS):
+        seeds = range(seed + lo, seed + min(count, lo + CHAIN_ROWS))
+        out += [strip_pad(trace.states[-1])
+                for trace in sample_chains(model, sampler_cfg, seeds)]
     return out
 
 
@@ -144,21 +153,31 @@ def quality_diversity_curve(model, temperatures: list[float],
     return points
 
 
+@no_grad()
 def translate(model, sources, sampler_cfg: SamplerConfig,
               use_length_pred: bool = True) -> list[np.ndarray]:
     """Best reranked chain state for each source (a TokenSeq); source i
     decodes with sampler seed `sampler_cfg.seed + 65537 * i`.
 
-    With use_length_pred off the conditioning carries a constant length
-    embedding instead of the classifier's argmax (the ablation's "no
-    length prediction" arm).
+    Sources are encoded together, and the reranked chains of every source
+    run as one batch (a group of sources at a time, at most CHAIN_ROWS
+    chains). With use_length_pred off the conditioning carries a constant
+    length embedding instead of the classifier's argmax (the ablation's
+    "no length prediction" arm).
     """
+    width = sampler_cfg.rerank_width
+    group = max(1, CHAIN_ROWS // width)
     bests = []
-    for i, src in enumerate(sources):
-        cond = build_conditioning(model, src.ids, src.content_len,
-                                  target_length=None if use_length_pred else 1)
-        cfg = replace(sampler_cfg, seed=sampler_cfg.seed + 65537 * i)
-        bests.append(sample_reranked(model, cfg, cond=cond)[0])
+    for lo in range(0, len(sources), group):
+        part = sources[lo: lo + group]
+        lens = np.array([src.content_len for src in part])
+        cond = build_conditioning(model, np.stack([src.ids for src in part]), lens,
+                                  target_length=None if use_length_pred else np.ones_like(lens))
+        seeds = [s for i in range(lo, lo + len(part))
+                 for s in rerank_seeds(sampler_cfg.seed + 65537 * i, width)]
+        traces = sample_chains(model, sampler_cfg, seeds,
+                               cond=cond.take(np.repeat(np.arange(len(part)), width)))
+        bests += [rerank(traces[k: k + width])[0] for k in range(0, len(traces), width)]
     return bests
 
 

@@ -15,9 +15,9 @@ from .data import (PairBatch, Vocab, encode, make_batch, pairs_to_batch,
                    synth_task_gen, toy_char_corpus)
 from .evaluation import exact_match
 from .model import ModelConfig, DenoiserModel, denoise_logits, init_model
-from .sampling import SamplerConfig
-from .training import (TrainConfig, averaged_model, make_train_state,
-                       sample_tokens, train_loop)
+from .numerics import no_grad
+from .sampling import SamplerConfig, sample_chains
+from .training import TrainConfig, averaged_model, make_train_state, train_loop
 
 
 def desk_model_config(v: int, N: int, mode: str, N_source: int | None = None,
@@ -158,13 +158,15 @@ def bench_report(model: DenoiserModel, T_values: list[int], batch: int = 32,
     """Decoding-cost comparison: chain steps vs a causal greedy baseline.
 
     Counts full-sequence forward passes (chain: T; baseline: one per
-    position) and measures wall clock for both on the same network. Paper
-    reference gains are printed alongside, never asserted.
+    position) and measures wall clock for both on the same network: the
+    chains through `sample_chains`, `batch` of them in lockstep, the
+    baseline tape-free like them. Paper reference gains are printed
+    alongside, never asserted.
     """
     N = model.config.N
-    rng = np.random.default_rng(seed)
-    ids = rng.integers(0, model.config.v, size=(batch, N))
+    ids = np.random.default_rng(seed).integers(0, model.config.v, size=(batch, N))
 
+    @no_grad()
     def ar_decode():
         y = ids.copy()
         for pos in range(N):
@@ -172,11 +174,9 @@ def bench_report(model: DenoiserModel, T_values: list[int], batch: int = 32,
             y[:, pos] = logits[:, pos].argmax(axis=-1)
 
     def chain_decode(T):
-        x = rng.integers(0, model.config.v, size=(batch, N))
-        for _ in range(T):
-            logits = denoise_logits(model, x).data
-            # full-update low-temperature step, batched
-            x = sample_tokens(logits, rng, 0.5)
+        # full-update low-temperature chains that run all T steps
+        sample_chains(model, SamplerConfig(T=T, temperature=0.5, early_stop=False),
+                      seeds=range(seed, seed + batch))
 
     def timed(fn, repeats=2):
         best = float("inf")

@@ -81,6 +81,13 @@ class Conditioning:
     length_embedding: Tensor    # [B, d]
     source_mask: np.ndarray     # [B, N_source] bool, True = real token
 
+    def take(self, rows) -> "Conditioning":
+        """The conditioning of the given batch rows, for inference: no
+        gradient flows back through the copy."""
+        return Conditioning(Tensor(self.encodings.data[rows]),
+                            Tensor(self.length_embedding.data[rows]),
+                            self.source_mask[rows])
+
 
 def length_class(content_len, downsample: int) -> np.ndarray:
     """0-based class of a target length: ceil(l / downsample) - 1."""

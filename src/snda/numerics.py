@@ -9,6 +9,9 @@ tape in reverse topological order.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 import numpy as np
 
 
@@ -179,10 +182,23 @@ class Tensor:
         return out
 
 
+_recording = contextvars.ContextVar("snda_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inside this context (or a function it decorates) operations record no
+    tape: results carry no parents and no backward closures."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
-    req = any(p.requires_grad for p in parents)
-    t = Tensor(data, requires_grad=req, _parents=parents if req else ())
-    return t
+    req = _recording.get() and any(p.requires_grad for p in parents)
+    return Tensor(data, requires_grad=req, _parents=parents if req else ())
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

@@ -4,18 +4,20 @@ Chains start from uniform-random tokens (or a clamped template) and apply
 the denoiser repeatedly: stochastic low-temperature steps, a deterministic
 argmax variant that re-unrolls the least-certain positions, partial-token
 updates with a triangular schedule, and model-score reranking over
-parallel chains. Tiny instances get an exact enumeration oracle.
+parallel chains. Chains run batched in lockstep, one forward per step for
+all of them, with no autodiff tape. Tiny instances get an exact
+enumeration oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Conditioning, DenoiserModel, denoise_logits
-from .numerics import cross_entropy, log_softmax_array, softmax_array
+from .numerics import cross_entropy, log_softmax_array, no_grad, softmax_array
 from .training import sample_tokens
 
 
@@ -72,11 +74,11 @@ def triangular_count(t: int, T: int, N: int) -> int:
     return math.floor(2 * N * min(t / T, 1 - t / T))
 
 
-def sample_step_low_temp(model: DenoiserModel, y_prev: np.ndarray, tau: float,
+def sample_step_low_temp(logits: np.ndarray, y_prev: np.ndarray, tau: float,
                          update_count: int, clamp_mask: np.ndarray | None,
-                         cond: Conditioning | None,
                          rng: np.random.Generator) -> np.ndarray:
-    """Resample `update_count` random unclamped positions at temperature tau."""
+    """Resample `update_count` random unclamped positions of one chain's
+    state y_prev at temperature tau, from its denoiser logits [N, v]."""
     if tau <= 0:
         raise ValueError("temperature must be positive")
     y_prev = np.asarray(y_prev, dtype=np.int64)
@@ -84,54 +86,43 @@ def sample_step_low_temp(model: DenoiserModel, y_prev: np.ndarray, tau: float,
     update_count = min(update_count, len(free))
     if update_count == 0:
         return y_prev.copy()
-    logits = denoise_logits(model, y_prev, cond).data
     sel = rng.choice(free, size=update_count, replace=False)
     y = y_prev.copy()
     y[sel] = sample_tokens(logits[sel], rng, tau)
     return y
 
 
-def argmax_unrolled_step(model: DenoiserModel, y_prev: np.ndarray,
+def argmax_unrolled_step(model: DenoiserModel, lam: np.ndarray, y_prev: np.ndarray,
                          lam_prev: np.ndarray, rho: float,
                          cond: Conditioning | None,
-                         clamp_mask: np.ndarray | None = None):
-    """Deterministic step: argmax everywhere, one extra unroll at the
-    ceil(rho*N) least-certain unclamped positions.
+                         clamp_mask: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic step on states y_prev ([N], or [B, N] rows) whose
+    denoiser logits are lam: argmax everywhere, then one extra unroll at
+    each row's ceil(rho*N) least-certain unclamped positions.
 
-    Certainty is the maximum per-position log-probability of the carried
-    logits lam_prev; returns (y, lam) with lam the pre-unroll logits.
+    Certainty is the maximum per-position log-probability of the previous
+    step's logits lam_prev. The unroll is one forward over all rows.
     """
     if lam_prev is None:
         raise ValueError("argmax_unrolled_step requires the previous step's logits")
     y_prev = np.asarray(y_prev, dtype=np.int64)
-    N = len(y_prev)
+    N = y_prev.shape[-1]
     free = np.flatnonzero(~clamp_mask) if clamp_mask is not None else np.arange(N)
 
-    lam = denoise_logits(model, y_prev, cond).data
     predicted = lam.argmax(axis=-1)
     y = y_prev.copy()
-    y[free] = predicted[free]
+    y[..., free] = predicted[..., free]
 
     n_unc = min(math.ceil(rho * N), len(free))
     if n_unc > 0:
         certainty = log_softmax_array(lam_prev).max(axis=-1)
-        order = free[np.argsort(certainty[free], kind="stable")]
-        uncertain = order[:n_unc]
+        order = free[np.argsort(certainty[..., free], axis=-1, kind="stable")]
+        uncertain = order[..., :n_unc]
         z = y_prev.copy()
-        z[uncertain] = predicted[uncertain]
-        lam_unrolled = denoise_logits(model, z, cond).data
-        y[uncertain] = lam_unrolled.argmax(axis=-1)[uncertain]
-    return y, lam
-
-
-def _init_state(N: int, v: int, init: Template | None,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    x0 = rng.integers(0, v, size=N)
-    if init is None:
-        return x0, np.zeros(N, dtype=bool)
-    clamp = init.clamp_mask
-    x0[clamp] = init.tokens[clamp]
-    return x0, clamp
+        np.put_along_axis(z, uncertain, np.take_along_axis(predicted, uncertain, -1), -1)
+        unrolled = denoise_logits(model, z, cond).data.argmax(axis=-1)
+        np.put_along_axis(y, uncertain, np.take_along_axis(unrolled, uncertain, -1), -1)
+    return y
 
 
 def _step_count(cfg: SamplerConfig, t: int, N: int) -> int:
@@ -140,37 +131,83 @@ def _step_count(cfg: SamplerConfig, t: int, N: int) -> int:
     return math.ceil(cfg.update_fraction * N)
 
 
-def sample_chain(model: DenoiserModel, cfg: SamplerConfig,
-                 init: Template | None = None,
-                 cond: Conditioning | None = None) -> ChainTrace:
-    """Unroll the chain for T steps from the uniform prior or a template."""
+@no_grad()
+def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
+                  init: Template | None = None,
+                  cond: Conditioning | None = None) -> list[ChainTrace]:
+    """Unroll one chain per seed for up to T steps, all chains in lockstep,
+    from the uniform prior or a template.
+
+    Chain b draws from its own rng seeded seeds[b], so it equals the chain
+    that runs alone with that seed. Each step is one denoiser forward over
+    the chains still running. A chain that stops early leaves the batch and
+    is scored with the logits its last step computed, since its final state
+    is that step's input; the other chains share one scoring forward at the
+    end. `cond` holds one row per chain, or one row that every chain shares.
+    """
     mcfg = model.config
     if mcfg.mode == "encoder_decoder" and cond is None:
         raise ValueError("encoder_decoder mode requires conditioning")
-    rng = np.random.default_rng(cfg.seed)
-    x, clamp = _init_state(mcfg.N, mcfg.v, init, rng)
-    states = [x.copy()]
-    changed = []
-    lam = None
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    B = len(rngs)
+    if cond is not None and len(cond.source_mask) != B:
+        if len(cond.source_mask) != 1:
+            raise ValueError("conditioning needs one row, or one row per chain")
+        cond = cond.take(np.zeros(B, dtype=np.int64))
+    clamp = init.clamp_mask if init is not None else None
+    n_free = mcfg.N if clamp is None else int((~clamp).sum())
+    x = np.array([rng.integers(0, mcfg.v, size=mcfg.N) for rng in rngs],
+                 dtype=np.int64).reshape(B, mcfg.N)
+    if clamp is not None:
+        x[:, clamp] = init.tokens[clamp]
+    traces = [ChainTrace(states=[row.copy()], changed=[]) for row in x]
+    active = np.arange(B)
+    lam = None          # argmax_unrolled: every chain's latest step logits
     for t in range(1, cfg.T + 1):
-        if cfg.strategy == "low_temp":
-            y = sample_step_low_temp(model, x, cfg.temperature,
-                                     _step_count(cfg, t, mcfg.N), clamp, cond, rng)
-        elif lam is None:
-            # first deterministic step: plain argmax denoising, carries its logits
-            dummy = np.zeros((mcfg.N, mcfg.v))
-            y, lam = argmax_unrolled_step(model, x, dummy, 0.0, cond, clamp)
+        rows = x[active]
+        rows_cond = cond if cond is None or len(active) == B else cond.take(active)
+        if cfg.strategy == "argmax_unrolled":
+            logits = denoise_logits(model, rows, rows_cond).data
+            if lam is None:
+                lam = np.zeros((B,) + logits.shape[1:], dtype=logits.dtype)
+            # the first step is plain argmax denoising: no earlier logits to rank by
+            rho = cfg.uncertain_share if t > 1 else 0.0
+            y = argmax_unrolled_step(model, logits, rows, lam[active], rho, rows_cond, clamp)
+            lam[active] = logits
         else:
-            y, lam = argmax_unrolled_step(model, x, lam, cfg.uncertain_share,
-                                          cond, clamp)
-        n_changed = int((y != x).sum())
-        x = y
-        states.append(x.copy())
-        changed.append(n_changed)
-        if cfg.early_stop and n_changed == 0:
-            break
-    score = model_score(model, x, cond)
-    return ChainTrace(states=states, changed=changed, final_score=score)
+            count = _step_count(cfg, t, mcfg.N)
+            logits = denoise_logits(model, rows, rows_cond).data if min(count, n_free) else None
+            y = rows if logits is None else np.stack([
+                sample_step_low_temp(logits[k], rows[k], cfg.temperature, count, clamp, rngs[b])
+                for k, b in enumerate(active)])
+        n_changed = (y != rows).sum(axis=1)
+        x[active] = y
+        for k, b in enumerate(active):
+            traces[b].states.append(y[k].copy())
+            traces[b].changed.append(int(n_changed[k]))
+        if cfg.early_stop:
+            stopped = n_changed == 0
+            if logits is not None:
+                for k in np.flatnonzero(stopped):
+                    traces[active[k]].final_score = cross_entropy(logits[k], y[k]).item()
+            active = active[~stopped]
+            if not len(active):
+                break
+    unscored = [b for b, trace in enumerate(traces) if trace.final_score is None]
+    if unscored:
+        logits = denoise_logits(model, x[unscored],
+                                None if cond is None else cond.take(unscored)).data
+        for k, b in enumerate(unscored):
+            traces[b].final_score = cross_entropy(logits[k], x[b]).item()
+    return traces
+
+
+def sample_chain(model: DenoiserModel, cfg: SamplerConfig,
+                 init: Template | None = None,
+                 cond: Conditioning | None = None) -> ChainTrace:
+    """Unroll the chain seeded cfg.seed for T steps from the uniform prior
+    or a template."""
+    return sample_chains(model, cfg, [cfg.seed], init, cond)[0]
 
 
 def model_score(model: DenoiserModel, y: np.ndarray,
@@ -180,18 +217,28 @@ def model_score(model: DenoiserModel, y: np.ndarray,
     return cross_entropy(logits, y).item()
 
 
+def rerank_seeds(seed: int, width: int) -> list[int]:
+    """Seeds of the `width` reranked chains of a decode seeded `seed`."""
+    return [seed + 1000003 * i for i in range(width)]
+
+
+def rerank(traces: list[ChainTrace]):
+    """The final state of the chain with the lowest final score (ties break
+    at the lowest index), and every chain's final score."""
+    scores = [trace.final_score for trace in traces]
+    return traces[int(np.argmin(scores))].states[-1], scores
+
+
 def sample_reranked(model: DenoiserModel, cfg: SamplerConfig,
                     init: Template | None = None,
                     cond: Conditioning | None = None):
-    """Run rerank_width independent chains and keep the one whose final
-    state has the lowest model score; ties break at the lowest index.
+    """Run rerank_width chains as one batch and keep the one whose final
+    state has the lowest model score.
 
     Returns (best final state, every chain's final score).
     """
-    traces = [sample_chain(model, replace(cfg, seed=cfg.seed + 1000003 * i), init, cond)
-              for i in range(cfg.rerank_width)]
-    scores = [trace.final_score for trace in traces]
-    return traces[int(np.argmin(scores))].states[-1], scores
+    return rerank(sample_chains(model, cfg, rerank_seeds(cfg.seed, cfg.rerank_width),
+                                init, cond))
 
 
 def dump_trace(trace: ChainTrace, vocab=None) -> str:

@@ -143,13 +143,14 @@ def test_criterion_07_decoding_equivalences():
     for _ in range(20):
         y = rng.integers(0, 8, size=8)
         lam_prev = rng.standard_normal((8, 8))
-        out, _ = argmax_unrolled_step(model, y, lam_prev, 0.0, None)
+        out = argmax_unrolled_step(model, denoise_logits(model, y).data, y, lam_prev,
+                                   0.0, None)
         assert np.array_equal(out, denoise_logits(model, y).data.argmax(-1))
 
     # (b) low_temp at tau=1e-6 equals argmax on 100 random states
     for i in range(100):
         y = rng.integers(0, 8, size=8)
-        out = sample_step_low_temp(model, y, 1e-6, 8, None, None,
+        out = sample_step_low_temp(denoise_logits(model, y).data, y, 1e-6, 8, None,
                                    np.random.default_rng(i))
         assert np.array_equal(out, denoise_logits(model, y).data.argmax(-1))
 

@@ -196,6 +196,38 @@ def test_command_rejects_keys_it_does_not_read(tiny_ckpts, capsys, argv, unread)
     assert sorted(os.listdir(".")) == before
 
 
+@pytest.mark.parametrize("argv, keys", [
+    ("sample --checkpoint lm.ckpt --steps 2 --sampler.T 3", ("--steps", "--sampler.T")),
+    ("sample --checkpoint lm.ckpt --steps 2 --seed 1 --sampler.seed 2",
+     ("--seed", "--sampler.seed")),
+    ("translate --checkpoint mt.ckpt --input src.txt --steps 2 --sampler.T 3",
+     ("--steps", "--sampler.T")),
+    ("translate --checkpoint mt.ckpt --input src.txt --seed 1 --sampler.seed 2",
+     ("--seed", "--sampler.seed")),
+    ("inpaint --checkpoint lm.ckpt --template a*b --steps 2 --sampler.T 3",
+     ("--steps", "--sampler.T")),
+    ("inpaint --checkpoint lm.ckpt --template a*b --seed 1 --sampler.seed 2",
+     ("--seed", "--sampler.seed")),
+    ("eval --checkpoint mt.ckpt --task copy --v_task 6 --len_min 2 --len_max 6 --count 2 "
+     "--steps 2 --sampler.T 3", ("--steps", "--sampler.T")),
+])
+def test_decoding_rejects_two_keys_for_one_setting(tiny_ckpts, capsys, argv, keys):
+    assert run(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and all(key in captured.err for key in keys)
+
+
+def test_eval_task_reads_seed_and_sampler_seed(tiny_ckpts, capsys):
+    # --seed picks the held-out pairs there, --sampler.seed the chains
+    assert run("eval --checkpoint mt.ckpt --task copy --v_task 6 --len_min 2 --len_max 6 "
+               "--count 2 --steps 1 --seed 1 --sampler.seed 2".split()) == 0
+
+
+def test_bench_rejects_encoder_decoder_checkpoint(tiny_ckpts, capsys):
+    assert run(["bench", "--checkpoint", "mt.ckpt", "--steps", "1", "--count", "2"]) == 1
+    assert "bench times unconditional decoding" in capsys.readouterr().err
+
+
 def test_bench_passes_model_settings(in_tmp, capsys, monkeypatch):
     seen = []
 
@@ -243,6 +275,17 @@ _FEWER_STEPS = {"train": ["--train.total_steps", "8"], "bench": ["--steps", "4"]
                 "ablate": ["--train.total_steps", "4", "--sampler.T", "2"]}
 
 
+def _shortened(argv: list[str]) -> list[str]:
+    """argv with fewer steps: a decoding command's --steps value becomes 2
+    (or --sampler.T 2 is added), other commands get _FEWER_STEPS."""
+    if argv[0] in _FEWER_STEPS:
+        return argv + _FEWER_STEPS[argv[0]]
+    if "--steps" in argv:
+        i = argv.index("--steps") + 1
+        return argv[:i] + ["2"] + argv[i + 1:]
+    return argv + ["--sampler.T", "2"]
+
+
 def test_readme_quick_start_runs(in_tmp, capsys):
     src = str(Path(snda.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -251,9 +294,7 @@ def test_readme_quick_start_runs(in_tmp, capsys):
     assert sum(c.startswith("snda ") for c in commands) >= 10
     for command in commands:
         if command.startswith("snda "):
-            argv = shlex.split(command)[1:]
-            argv += _FEWER_STEPS.get(argv[0], ["--sampler.T", "2"])
-            assert run(argv) == 0, command
+            assert run(_shortened(shlex.split(command)[1:])) == 0, command
         else:
             if command.startswith("python3 "):
                 command = shlex.quote(sys.executable) + command[len("python3"):]

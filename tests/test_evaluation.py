@@ -1,14 +1,15 @@
 """BLEU / self-BLEU oracles and the evaluation drivers."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snda.data import PAD
-from snda.evaluation import (BleuConfig, bleu, corpus_bleu, exact_match,
-                             quality_diversity_curve, self_bleu, strip_pad)
+from snda.data import PAD, TokenSeq
+from snda.evaluation import (BleuConfig, bleu, corpus_bleu, draw_samples, exact_match,
+                             quality_diversity_curve, self_bleu, strip_pad, translate)
 from snda.sampling import SamplerConfig
 
 
@@ -128,3 +129,29 @@ def test_exact_match_on_oracle_pairs(tiny_encdec):
     acc = exact_match(tiny_encdec, pairs, cfg)
     assert 0.0 <= acc <= 1.0
     assert exact_match(tiny_encdec, [], cfg) == 0.0
+
+
+def test_batched_decoding_is_pinned(tiny_model, tiny_encdec):
+    # outputs of the one-chain-at-a-time sampler that the batched chains
+    # replaced; chains stop early at different steps, and the inputs span
+    # more than CHAIN_ROWS chains
+    rng = np.random.default_rng(5)
+    sources = []
+    for _ in range(12):
+        n = int(rng.integers(1, 9))
+        ids = np.zeros(8, dtype=np.int64)
+        ids[:n] = rng.integers(2, 8, size=n)
+        sources.append(TokenSeq(ids, n))
+    for cfg, digest in ((SamplerConfig(T=10, temperature=0.005, rerank_width=3, seed=11),
+                         "021ff4071e9ccdec"),
+                        (SamplerConfig(T=10, strategy="argmax_unrolled", rerank_width=3,
+                                       seed=11), "f9bf4a3c311fc6ae")):
+        h = hashlib.sha256()
+        for best in translate(tiny_encdec, sources, cfg):
+            h.update(np.asarray(best).astype("<i8").tobytes())
+        assert h.hexdigest()[:16] == digest, cfg.strategy
+    h = hashlib.sha256()
+    for ids in draw_samples(tiny_model, SamplerConfig(T=8, temperature=0.02, update_fraction=0.5),
+                            40, 4):
+        h.update(np.asarray(ids, dtype="<i8").tobytes() + b"|")
+    assert h.hexdigest()[:16] == "929348741f085055"

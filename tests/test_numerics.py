@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from snda.numerics import (NumericError, ParamSet, Tensor, concat,
                            cross_entropy, dropout, embedding, grad_check,
-                           layer_norm, log_softmax_array, softmax,
+                           layer_norm, log_softmax_array, no_grad, softmax,
                            softmax_array)
 
 
@@ -155,3 +155,15 @@ def test_backward_accumulates_through_shared_nodes():
     b = a * a        # a appears twice
     (b + b).sum().backward()
     assert np.allclose(a.grad, 8.0)  # d/da 2a^2 = 4a
+
+
+def test_no_grad_records_no_tape():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with no_grad():
+        out = cross_entropy((w @ w + w).relu(), np.array([0, 1]))
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    with pytest.raises(KeyError):
+        with no_grad():
+            raise KeyError("inside")
+    out = (w * w).sum()  # recording again after the exception
+    assert out.requires_grad and out._parents

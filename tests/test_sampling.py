@@ -5,12 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from snda.model import build_conditioning, denoise_logits
 from snda.sampling import (ChainTrace, SamplerConfig, Template, dump_trace,
                            argmax_unrolled_step, exact_chain_prob, model_score,
-                           sample_chain, sample_reranked,
+                           rerank_seeds, sample_chain, sample_chains, sample_reranked,
                            sample_step_low_temp, transition_matrix,
                            triangular_count)
 
@@ -44,14 +44,14 @@ def test_triangular_count_ramp():
 
 def test_low_temp_step_zero_updates_is_noop(tiny_model):
     y = np.random.default_rng(0).integers(0, 8, size=8)
-    out = sample_step_low_temp(tiny_model, y, 0.5, 0, None, None,
+    out = sample_step_low_temp(denoise_logits(tiny_model, y).data, y, 0.5, 0, None,
                                np.random.default_rng(1))
     assert np.array_equal(out, y)
 
 
 def test_low_temp_step_tiny_tau_is_argmax(tiny_model):
     y = np.random.default_rng(0).integers(0, 8, size=8)
-    out = sample_step_low_temp(tiny_model, y, 1e-6, 8, None, None,
+    out = sample_step_low_temp(denoise_logits(tiny_model, y).data, y, 1e-6, 8, None,
                                np.random.default_rng(1))
     want = denoise_logits(tiny_model, y).data.argmax(axis=-1)
     assert np.array_equal(out, want)
@@ -60,8 +60,9 @@ def test_low_temp_step_tiny_tau_is_argmax(tiny_model):
 def test_low_temp_step_respects_clamp(tiny_model):
     y = np.random.default_rng(0).integers(0, 8, size=8)
     clamp = np.array([True, False] * 4)
+    logits = denoise_logits(tiny_model, y).data
     for seed in range(20):
-        out = sample_step_low_temp(tiny_model, y, 0.5, 8, clamp, None,
+        out = sample_step_low_temp(logits, y, 0.5, 8, clamp,
                                    np.random.default_rng(seed))
         assert np.array_equal(out[clamp], y[clamp])
 
@@ -69,22 +70,23 @@ def test_low_temp_step_respects_clamp(tiny_model):
 def test_argmax_unrolled_rho_zero_is_plain_argmax(tiny_model):
     y = np.random.default_rng(2).integers(0, 8, size=8)
     lam_prev = np.random.default_rng(3).standard_normal((8, 8))
-    out, lam = argmax_unrolled_step(tiny_model, y, lam_prev, 0.0, None)
     want = denoise_logits(tiny_model, y).data
+    out = argmax_unrolled_step(tiny_model, want, y, lam_prev, 0.0, None)
     assert np.array_equal(out, want.argmax(axis=-1))
-    assert np.array_equal(lam, want)
 
 
 def test_argmax_unrolled_requires_lam_prev(tiny_model):
     y = np.zeros(8, dtype=np.int64)
     with pytest.raises(ValueError):
-        argmax_unrolled_step(tiny_model, y, None, 0.5, None)
+        argmax_unrolled_step(tiny_model, denoise_logits(tiny_model, y).data, y, None,
+                             0.5, None)
 
 
 def test_argmax_unrolled_rho_one_unrolls_everywhere(tiny_model):
     y = np.random.default_rng(4).integers(0, 8, size=8)
     lam_prev = np.random.default_rng(5).standard_normal((8, 8))
-    out, lam = argmax_unrolled_step(tiny_model, y, lam_prev, 1.0, None)
+    lam = denoise_logits(tiny_model, y).data
+    out = argmax_unrolled_step(tiny_model, lam, y, lam_prev, 1.0, None)
     # reference: every position takes the unrolled token
     predicted = lam.argmax(axis=-1)
     lam2 = denoise_logits(tiny_model, predicted).data
@@ -97,9 +99,9 @@ def test_argmax_unrolled_reference_simulation(micro_model):
     y = rng.integers(0, 3, size=2)
     lam_prev = rng.standard_normal((2, 3))
     rho = 0.5
-    got, lam = argmax_unrolled_step(micro_model, y, lam_prev, rho, None)
-
     lam_ref = denoise_logits(micro_model, y).data
+    got = argmax_unrolled_step(micro_model, lam_ref, y, lam_prev, rho, None)
+
     predicted = lam_ref.argmax(axis=-1)
     from snda.numerics import log_softmax_array
     certainty = log_softmax_array(lam_prev).max(axis=-1)
@@ -110,7 +112,6 @@ def test_argmax_unrolled_reference_simulation(micro_model):
     want = predicted.copy()
     want[uncertain] = unrolled[uncertain]
     assert np.array_equal(got, want)
-    assert np.array_equal(lam, lam_ref)
 
 
 def test_sample_chain_trace_shape(tiny_model):
@@ -170,16 +171,20 @@ def test_model_score_and_rerank(tiny_model):
 
 def test_sample_reranked_scores_each_chain_once(tiny_model, monkeypatch):
     import snda.sampling as sampling
-    traces, forwards = [], []
-    chain, logits = sampling.sample_chain, sampling.denoise_logits
-    monkeypatch.setattr(sampling, "sample_chain",
-                        lambda *a, **k: traces.append(chain(*a, **k)) or traces[-1])
+    rows, logits = [], sampling.denoise_logits
     monkeypatch.setattr(sampling, "denoise_logits",
-                        lambda *a, **k: forwards.append(1) or logits(*a, **k))
-    sample_reranked(tiny_model, SamplerConfig(T=6, temperature=0.5, rerank_width=4, seed=0))
-    # one forward per chain step, one score per chain
-    assert len(traces) == 4
-    assert len(forwards) == sum(len(t.changed) for t in traces) + 4
+                        lambda model, x, *a, **k: rows.append(np.shape(x)[0]) or
+                        logits(model, x, *a, **k))
+    cfg = SamplerConfig(T=8, temperature=0.03, rerank_width=4, seed=0)
+    sample_reranked(tiny_model, cfg)
+    forwarded = list(rows)
+    traces = [sample_chain(tiny_model, replace(cfg, seed=s)) for s in rerank_seeds(0, 4)]
+    ran_all = [t.changed[-1] != 0 for t in traces]
+    assert 0 < sum(ran_all) < 4  # some chains stop early, some run all T steps
+    # a row per chain step, a scoring row per chain that ran all T steps,
+    # and the chains share each step's forward
+    assert sum(forwarded) == sum(len(t.changed) for t in traces) + sum(ran_all)
+    assert len(forwarded) == cfg.T + 1
 
 
 def test_sample_reranked_picks_min_score(tiny_model):
@@ -229,3 +234,46 @@ def test_encoder_decoder_chain_requires_cond(tiny_encdec):
                               np.array([2, 3, 4, 0, 0, 0, 0, 0]), 3)
     trace = sample_chain(tiny_encdec, SamplerConfig(T=2, seed=0), cond=cond)
     assert len(trace.states) >= 2
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+       strategy=st.sampled_from(["low_temp", "argmax_unrolled"]),
+       schedule=st.sampled_from(["constant", "half", "triangular"]),
+       temperature=st.sampled_from([0.01, 0.5]), T=st.integers(0, 8),
+       early_stop=st.booleans(), template_seed=st.none() | st.integers(0, 99),
+       conditioning=st.sampled_from([None, "shared", "per_chain"]))
+# chain 1 stops at step 3 while the others run on and rank positions by
+# their own carried logits
+@example(seeds=[14, 1014, 2014, 3014], strategy="argmax_unrolled", schedule="constant",
+         temperature=0.5, T=8, early_stop=True, template_seed=None, conditioning=None)
+def test_sample_chains_equal_one_chain_per_seed(tiny_model, tiny_encdec, seeds, strategy,
+                                                schedule, temperature, T, early_stop,
+                                                template_seed, conditioning):
+    cfg = SamplerConfig(T=T, temperature=temperature, strategy=strategy,
+                        schedule="triangular" if schedule == "triangular" else "constant",
+                        update_fraction=0.5 if schedule == "half" else 1.0,
+                        early_stop=early_stop)
+    init = None
+    if template_seed is not None:
+        rng = np.random.default_rng(template_seed)
+        init = Template(rng.integers(0, 8, size=8), rng.random(8) < 0.5)
+    model, cond, conds = tiny_model, None, [None] * len(seeds)
+    if conditioning is not None:
+        model = tiny_encdec
+        rng = np.random.default_rng(seeds[0])
+        lens = rng.integers(1, 9, size=len(seeds))
+        src = np.where(np.arange(8) < lens[:, None], rng.integers(2, 8, size=(len(seeds), 8)), 0)
+        cond = build_conditioning(model, src, lens)
+        conds = [cond.take([b]) for b in range(len(seeds))]
+        if conditioning == "shared":
+            cond = conds[0]
+            conds = [cond] * len(seeds)
+    batched = sample_chains(model, cfg, seeds, init, cond)
+    for trace, seed, row_cond in zip(batched, seeds, conds):
+        alone = sample_chain(model, replace(cfg, seed=seed), init, row_cond)
+        assert len(trace.states) == len(alone.states)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.states, alone.states))
+        assert trace.changed == alone.changed
+        assert trace.final_score == alone.final_score

@@ -7,6 +7,7 @@ from scipy import stats
 from snda.data import PairBatch, pairs_to_batch, synth_task_gen
 from snda.model import ModelConfig, init_model
 from snda.numerics import NumericError, cross_entropy
+from snda.sampling import SamplerConfig, sample_chain
 from snda.training import (TrainConfig, average_checkpoints, averaged_model,
                            loss_unrolled, lr_schedule, make_train_state,
                            metrics_line, sample_tokens, train_loop, train_step)
@@ -173,3 +174,16 @@ def test_non_finite_loss_raises():
     state.model.params["tok_emb"].data[:] = np.inf
     with pytest.raises(NumericError):
         train_step(state, _batch_fn(0, np.random.default_rng(0)))
+
+
+def test_train_step_after_sampling_has_the_same_gradients(tiny_model):
+    batch = np.random.default_rng(3).integers(0, 8, size=(4, 8))
+    grads = []
+    for sample_first in (False, True):
+        model = perturb(init_model(tiny_model.config, np.random.default_rng(0)))
+        state = make_train_state(model, TrainConfig(total_steps=10, warmup_steps=1, seed=0))
+        if sample_first:
+            sample_chain(model, SamplerConfig(T=3, strategy="argmax_unrolled", seed=1))
+        train_step(state, batch)
+        grads.append({k: t.grad for k, t in model.params.items()})
+    assert all(np.array_equal(grads[0][k], grads[1][k]) for k in grads[0])
