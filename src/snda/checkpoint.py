@@ -9,12 +9,14 @@ little-endian values in the model config's dtype.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
 import numpy as np
 
-from .model import DenoiserModel, ModelConfig, init_model
+from .model import DenoiserModel, ModelConfig, param_layout
+from .numerics import ParamSet
 
 MAGIC = b"SNDA"
 VERSION = 2
@@ -46,48 +48,54 @@ def save_checkpoint(model: DenoiserModel, path: str, step: int = 0, seed: int = 
             f.write(np.ascontiguousarray(t.data, dtype=dtype).tobytes())
 
 
-def _read(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
-
-
 def load_checkpoint(path: str) -> tuple[DenoiserModel, int, int]:
-    """Load a model; returns (model, step, seed). Round trip is bit-exact."""
-    with open(path, "rb") as f:
-        if _read(f, 4, "magic") != MAGIC:
-            raise CheckpointError("bad magic bytes, not a checkpoint file")
-        (version,) = struct.unpack("<I", _read(f, 4, "version"))
-        if version != VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<Q", _read(f, 8, "metadata length"))
-        try:
-            meta = json.loads(_read(f, meta_len, "metadata").decode("utf-8"))
-            config = ModelConfig(**meta["model_config"])
-            dtype = np.dtype(config.dtype).newbyteorder("<")
-        except (ValueError, KeyError, TypeError) as e:
-            raise CheckpointError(f"invalid checkpoint metadata: {e}") from e
+    """Load a model; returns (model, step, seed). Round trip is bit-exact.
 
-        model = init_model(config, np.random.default_rng(0))
-        values = {}
-        for expect in model.params.names():
-            (name_len,) = struct.unpack("<Q", _read(f, 8, f"name length of {expect!r}"))
-            name = _read(f, name_len, "parameter name").decode("utf-8")
-            if name != expect:
-                raise CheckpointError(f"parameter order mismatch: got {name!r}, "
-                                      f"expected {expect!r}")
-            (rank,) = struct.unpack("<Q", _read(f, 8, f"rank of {name!r}"))
-            dims = tuple(struct.unpack("<Q", _read(f, 8, f"dim of {name!r}"))[0]
-                         for _ in range(rank))
-            if dims != model.params[name].data.shape:
-                raise CheckpointError(f"shape mismatch for {name!r}: file has "
-                                      f"{dims}, config implies "
-                                      f"{model.params[name].data.shape}")
-            count = int(np.prod(dims)) if dims else 1
-            raw = _read(f, dtype.itemsize * count, f"values of {name!r}")
-            values[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
-        if f.read(1):
-            raise CheckpointError("trailing bytes after last parameter record")
-    model.params.load_values(values)
-    return model, int(meta["step"]), int(meta["seed"])
+    The parameter records must take exactly the bytes that the metadata's
+    config implies, which is checked before any parameter is allocated."""
+    with open(path, "rb") as f:
+        raw = memoryview(f.read())
+    pos = 0
+
+    def read(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise CheckpointError(f"truncated checkpoint while reading {what}")
+        pos += n
+        return raw[pos - n: pos]
+
+    def read_u64(what: str) -> int:
+        return struct.unpack("<Q", read(8, what))[0]
+
+    if read(4, "magic") != MAGIC:
+        raise CheckpointError("bad magic bytes, not a checkpoint file")
+    (version,) = struct.unpack("<I", read(4, "version"))
+    if version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    meta_len = read_u64("metadata length")
+    try:
+        meta = json.loads(bytes(read(meta_len, "metadata")).decode("utf-8"))
+        config = ModelConfig(**meta["model_config"])
+        dtype = np.dtype(config.dtype).newbyteorder("<")
+    except (ValueError, KeyError, TypeError) as e:
+        raise CheckpointError(f"invalid checkpoint metadata: {e}") from e
+
+    layout = param_layout(config)
+    need = sum(8 + len(name.encode("utf-8")) + 8 + 8 * len(shape)
+               + dtype.itemsize * math.prod(shape) for name, shape, _ in layout)
+    if need != len(raw) - pos:
+        raise CheckpointError(f"checkpoint holds {len(raw) - pos} bytes of parameters; "
+                              f"its config implies {need}")
+    params = ParamSet()
+    for expect, shape, _ in layout:
+        name = bytes(read(read_u64(f"name length of {expect!r}"), "parameter name")).decode("utf-8")
+        if name != expect:
+            raise CheckpointError(f"parameter order mismatch: got {name!r}, "
+                                  f"expected {expect!r}")
+        dims = tuple(read_u64(f"dim of {name!r}") for _ in range(read_u64(f"rank of {name!r}")))
+        if dims != shape:
+            raise CheckpointError(f"shape mismatch for {name!r}: file has "
+                                  f"{dims}, config implies {shape}")
+        values = read(dtype.itemsize * math.prod(dims), f"values of {name!r}")
+        params.add(name, np.frombuffer(values, dtype=dtype).reshape(dims).astype(config.dtype))
+    return DenoiserModel(config, params), int(meta["step"]), int(meta["seed"])

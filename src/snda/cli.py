@@ -49,13 +49,7 @@ def _len_range(cfg: RunConfig) -> tuple[int, int]:
 
 
 def _train_settings(cfg: RunConfig) -> tuple[dict, dict]:
-    """(model.* settings except N, train.* settings) for a trainer; the keys
-    a trainer derives itself are rejected."""
-    for section, key in (("model", "v"), ("model", "mode"), ("model", "N_source"),
-                         ("train", "seed")):
-        if key in getattr(cfg, section):
-            raise ConfigError(f"{section}.{key} is derived from the task, the "
-                              "vocabulary or --seed and cannot be set")
+    """(model.* settings except N, train.* settings) for a trainer."""
     return {k: v for k, v in cfg.model.items() if k != "N"}, dict(cfg.train)
 
 
@@ -197,10 +191,6 @@ def cmd_bench(cfg: RunConfig) -> int:
             raise ConfigError(f"bench times unconditional decoding; {cfg.get('checkpoint')} "
                               f"holds an {model.config.mode} model")
     else:
-        for key in ("mode", "N_source"):
-            if key in cfg.model:
-                raise ConfigError(f"bench times an unconditional model; model.{key} "
-                                  "cannot be set")
         mcfg = desk_model_config(mode="unconditional",
                                  **{"v": 32, "N": 64, "dropout": 0.0, **cfg.model})
         model = init_model(mcfg, np.random.default_rng(seed))
@@ -215,8 +205,6 @@ def cmd_ablate(cfg: RunConfig) -> int:
     variants = [{"s": 1}, {"s": 2}]
     if task == "copy":
         variants = [{"s": 2, "length_pred": True}, {"s": 2, "length_pred": False}]
-    if "unroll_terms" in cfg.train:
-        raise ConfigError("ablate sets train.unroll_terms per variant")
     table, machine = ablation_report(
         task, variants, train_kwargs=_task_train_kwargs(cfg),
         sampler_cfg=replace(ABLATION_SAMPLER, **cfg.sampler),
@@ -237,8 +225,9 @@ def _emit(cfg: RunConfig, lines: list[str]):
 @dataclass(frozen=True)
 class Branch:
     """A command, or the branch of one that its `select` key picks, with the
-    function that runs it and the top-level keys and config sections (every
-    key in them) that it reads."""
+    function that runs it, the top-level keys and config sections it reads,
+    and the fields of those sections it does not read (`section.field`):
+    fields it derives itself or that nothing in it uses."""
 
     command: str
     select: str
@@ -246,42 +235,47 @@ class Branch:
     summary: str
     keys: tuple[str, ...]
     sections: tuple[str, ...] = ()
+    unread: tuple[str, ...] = ()
 
     @property
     def name(self) -> str:
         return f"{self.command} --{self.select}" if self.select else self.command
 
 
-def _branch(command, select, fn, summary, keys, sections=""):
-    return Branch(command, select, fn, summary, tuple(keys.split()), tuple(sections.split()))
+def _branch(command, select, fn, summary, keys, sections="", unread=""):
+    return Branch(command, select, fn, summary, tuple(keys.split()), tuple(sections.split()),
+                  tuple(unread.split()))
 
 
 _TASK_KEYS = "task seed v_task len_min len_max"
 _DECODE_KEYS = "checkpoint vocab seed steps out"
+# set from the task or the vocabulary, and from --seed
+_DERIVED = "model.v model.mode model.N_source train.seed"
 
 # A command runs the first of its branches whose `select` key is set, else
 # its last branch.
 COMMANDS = [
     _branch("train", "task", cmd_train_task, "train a denoiser on a synthetic task",
-            _TASK_KEYS + " checkpoint out", "model train"),
+            _TASK_KEYS + " checkpoint out", "model train", _DERIVED),
     _branch("train", "corpus", cmd_train_corpus, "train a denoiser on a text corpus",
-            "corpus vocab seed log_every checkpoint out", "model train"),
+            "corpus vocab seed log_every checkpoint out", "model train", _DERIVED),
     _branch("sample", "", cmd_sample, "unconditional sampling from a checkpoint",
-            _DECODE_KEYS + " count", "sampler"),
+            _DECODE_KEYS + " count", "sampler", "sampler.rerank_width"),
     _branch("translate", "", cmd_translate, "conditional decoding of each line of --input",
             _DECODE_KEYS + " input", "sampler"),
     _branch("inpaint", "", cmd_inpaint, "fill `*` positions of --template, clamping the rest",
-            _DECODE_KEYS + " template", "sampler"),
+            _DECODE_KEYS + " template", "sampler", "sampler.rerank_width"),
     _branch("eval", "task", cmd_eval_task, "exact match on the task's held-out pairs",
             _TASK_KEYS + " checkpoint count steps out", "sampler"),
     _branch("eval", "corpus", cmd_eval_corpus, "quality/diversity curve against a corpus",
-            _DECODE_KEYS + " corpus temps count", "sampler"),
+            _DECODE_KEYS + " corpus temps count", "sampler",
+            "sampler.rerank_width sampler.temperature sampler.seed"),
     _branch("bench", "checkpoint", cmd_bench, "decoding speed of a trained model",
             "checkpoint steps count seed out"),
     _branch("bench", "", cmd_bench, "decoding speed of a desk model vs causal greedy decoding",
-            "steps count seed out", "model"),
+            "steps count seed out", "model", "model.mode model.N_source"),
     _branch("ablate", "", cmd_ablate, "unroll-count / length-prediction ablation table",
-            _TASK_KEYS + " out", "model train sampler"),
+            _TASK_KEYS + " out", "model train sampler", _DERIVED + " train.unroll_terms"),
 ]
 
 # every top-level key some command reads
@@ -293,15 +287,17 @@ def _usage() -> str:
              "Settings are --key value flags or `key = value` lines of a --config",
              "file (flags win). A command reads only the settings listed for it;",
              "any other is an error. --model.*, --train.* and --sampler.* stand",
-             "for every field of that section. --steps is the chain length",
-             "(sampler.T), or bench's comma-separated list of T values; where a",
-             "command decodes, --seed is sampler.seed. Setting a value twice",
-             "(--steps with --sampler.T, --seed with --sampler.seed) is an error,",
-             "except --seed with --sampler.seed on eval --task, whose --seed also",
-             "picks the held-out pairs.", "",
+             "for every field of that section but those listed after `except`.",
+             "--steps is the chain length (sampler.T), or bench's comma-separated",
+             "list of T values; where a command decodes, --seed is sampler.seed.",
+             "Setting a value twice (--steps with --sampler.T, --seed with",
+             "--sampler.seed) is an error, except --seed with --sampler.seed on",
+             "eval --task, whose --seed also picks the held-out pairs.", "",
              "commands:"]
     for b in COMMANDS:
         reads = [f"--{k}" for k in b.keys] + [f"--{s}.*" for s in b.sections]
+        if b.unread:
+            reads += ["except"] + [f"--{k}" for k in b.unread]
         lines += [f"  {b.name:<18}  {b.summary}",
                   textwrap.fill(" ".join(reads), 78, initial_indent=" " * 6,
                                 subsequent_indent=" " * 6)]
@@ -337,8 +333,8 @@ def _parse_argv(argv: list[str]) -> tuple[Branch, RunConfig]:
         set_key(cfg, key, value)
     branch = next((b for b in branches if b.select in cfg.top), branches[-1])
     unread = [k for k in cfg.top if k not in branch.keys] + [
-        f"{s}.{k}" for s in ("model", "train", "sampler") if s not in branch.sections
-        for k in getattr(cfg, s)]
+        f"{s}.{k}" for s in ("model", "train", "sampler") for k in getattr(cfg, s)
+        if s not in branch.sections or f"{s}.{k}" in branch.unread]
     if unread:
         raise ConfigError(f"snda {branch.name} does not read --{unread[0]}")
     return branch, cfg

@@ -171,8 +171,8 @@ def translate(model, sources, sampler_cfg: SamplerConfig,
     for lo in range(0, len(sources), group):
         part = sources[lo: lo + group]
         lens = np.array([src.content_len for src in part])
-        cond = build_conditioning(model, np.stack([src.ids for src in part]), lens,
-                                  target_length=None if use_length_pred else np.ones_like(lens))
+        cond, _ = build_conditioning(model, np.stack([src.ids for src in part]), lens,
+                                     target_length=None if use_length_pred else np.ones_like(lens))
         seeds = [s for i in range(lo, lo + len(part))
                  for s in rerank_seeds(sampler_cfg.seed + 65537 * i, width)]
         traces = sample_chains(model, sampler_cfg, seeds,

@@ -7,7 +7,6 @@ sequence-to-sequence tasks and a toy character language model.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 

@@ -1,7 +1,7 @@
 """Dense arrays with reverse-mode differentiation.
 
 Just enough machinery for a small non-causal transformer: matmul,
-elementwise ops, softmax, layer norm, embedding gather/scatter, masked
+elementwise ops, softmax, layer norm, embedding gather/scatter,
 cross-entropy. Values are numpy arrays (float32 for training, float64
 allowed in tests and oracles); gradients are accumulated by walking the
 tape in reverse topological order.
@@ -264,10 +264,8 @@ def softmax_array(logits: np.ndarray, temperature: float = 1.0, axis: int = -1) 
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax(logits, temperature: float = 1.0, axis: int = -1):
+def softmax(logits: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
     """Softmax over the last axis with temperature; Tensor in, Tensor out."""
-    if not isinstance(logits, Tensor):
-        return softmax_array(logits, temperature, axis)
     p = softmax_array(logits.data, temperature, axis)
     out = _make(p, (logits,))
     if out.requires_grad:
@@ -283,9 +281,8 @@ def log_softmax_array(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
-def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
-                  weight_mask=None) -> Tensor:
-    """Mean over masked positions of -sum_k t_k log p_k.
+def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0) -> Tensor:
+    """Mean over positions of -sum_k t_k log p_k.
 
     t = (1-eps) * onehot(target) + eps / v, p = softmax(logits, 1).
     Logits may carry leading batch axes; the last axis is the vocabulary.
@@ -301,13 +298,6 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
         raise ValueError("targets do not match logits positions")
     if tgt.min() < 0 or tgt.max() >= v:
         raise ValueError(f"target id out of range [0, {v})")
-    if weight_mask is None:
-        mask = np.ones(flat.shape[0], dtype=logits.data.dtype)
-    else:
-        mask = np.asarray(weight_mask, dtype=logits.data.dtype).reshape(-1)
-    total = mask.sum()
-    if total <= 0:
-        raise ValueError("weight_mask must select at least one position")
     if not np.all(np.isfinite(flat)):
         raise NumericError("cross_entropy: non-finite logits")
 
@@ -315,7 +305,8 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
     eps = label_smoothing
     rows = np.arange(flat.shape[0])
     nll = -(1.0 - eps) * logp[rows, tgt] - (eps / v) * logp.sum(axis=-1)
-    value = (nll * mask).sum() / total
+    n = logits.data.dtype.type(flat.shape[0])
+    value = nll.sum() / n
 
     out = _make(np.asarray(value, dtype=logits.data.dtype), (logits,))
     if out.requires_grad:
@@ -323,7 +314,7 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
             p = np.exp(logp)
             t = np.full_like(p, eps / v)
             t[rows, tgt] += 1.0 - eps
-            gl = (p - t) * (mask / total)[:, None] * g
+            gl = (p - t) * (1 / n) * g
             logits._accumulate(gl.reshape(logits.data.shape))
         out._backward = bwd
     return out
@@ -342,11 +333,11 @@ class ParamSet:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, data, requires_grad: bool = True) -> Tensor:
+    def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = data if isinstance(data, Tensor) else Tensor(data, requires_grad=requires_grad)
-        t.requires_grad = requires_grad
+        t = data if isinstance(data, Tensor) else Tensor(data)
+        t.requires_grad = True
         self._params[name] = t
         return t
 
@@ -376,7 +367,7 @@ class ParamSet:
     def astype(self, dtype) -> "ParamSet":
         out = ParamSet()
         for k, t in self._params.items():
-            out.add(k, Tensor(t.data.astype(dtype), requires_grad=t.requires_grad))
+            out.add(k, t.data.astype(dtype))
         return out
 
 
@@ -405,8 +396,6 @@ def grad_check(loss_fn, params: ParamSet, step: float = 1e-3,
         rng = np.random.default_rng(seed)
         worst = 0.0
         for name, t in params.items():
-            if not t.requires_grad:
-                continue
             # Gradient coordinates below the dtype's noise floor carry no
             # meaningful relative error; compare those absolutely.
             floor = max(1e-8, 1e3 * float(np.finfo(saved[name].dtype).eps))

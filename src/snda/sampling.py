@@ -150,8 +150,8 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
         raise ValueError("encoder_decoder mode requires conditioning")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     B = len(rngs)
-    if cond is not None and len(cond.source_mask) != B:
-        if len(cond.source_mask) != 1:
+    if cond is not None and len(cond.key_mask) != B:
+        if len(cond.key_mask) != 1:
             raise ValueError("conditioning needs one row, or one row per chain")
         cond = cond.take(np.zeros(B, dtype=np.int64))
     clamp = init.clamp_mask if init is not None else None
@@ -239,16 +239,6 @@ def sample_reranked(model: DenoiserModel, cfg: SamplerConfig,
     """
     return rerank(sample_chains(model, cfg, rerank_seeds(cfg.seed, cfg.rerank_width),
                                 init, cond))
-
-
-def dump_trace(trace: ChainTrace, vocab=None) -> str:
-    """One state per line: `step=<t> changed=<n> tok tok ...`."""
-    lines = []
-    for t, state in enumerate(trace.states):
-        n = 0 if t == 0 else trace.changed[t - 1]
-        toks = [vocab.token_of(int(i)) if vocab else str(int(i)) for i in state]
-        lines.append(f"step={t} changed={n} " + " ".join(toks))
-    return "\n".join(lines)
 
 
 def _all_states(v: int, N: int) -> np.ndarray:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corruption import corrupt_batch
 from .data import PairBatch
-from .model import (Conditioning, DenoiserModel, build_conditioning,
-                    denoise_logits, length_class, predict_length)
+from .model import DenoiserModel, build_conditioning, denoise_logits, length_class
 from .numerics import NumericError, ParamSet, Tensor, cross_entropy, softmax_array
 
 
@@ -97,12 +96,11 @@ def loss_unrolled(model: DenoiserModel, batch, s: int,
     if isinstance(batch, PairBatch):
         if cfg.mode != "encoder_decoder":
             raise ValueError("PairBatch requires encoder_decoder mode")
-        cond = build_conditioning(model, batch.sources, batch.source_lengths,
-                                  target_length=batch.target_lengths,
-                                  train_mode=train_mode, rng=rng)
-        lp = predict_length(model, cond.encodings, batch.source_lengths)
+        cond, length_logits = build_conditioning(model, batch.sources, batch.source_lengths,
+                                                 target_length=batch.target_lengths,
+                                                 train_mode=train_mode, rng=rng)
         labels = length_class(batch.target_lengths, cfg.length_downsample)
-        length_loss = cross_entropy(lp.logits, labels)
+        length_loss = cross_entropy(length_logits, labels)
         targets = batch.targets
     else:
         targets = np.asarray(batch, dtype=np.int64)

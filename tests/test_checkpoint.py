@@ -79,3 +79,30 @@ def test_round_trip_preserves_forward(tiny_model, tmp_path):
     x = np.random.default_rng(0).integers(0, 8, size=(2, 8))
     assert np.array_equal(denoise_logits(tiny_model, x).data,
                           denoise_logits(loaded, x).data)
+
+
+def test_oversized_header_rejected_before_allocation(tiny_model, tmp_path, monkeypatch):
+    import json
+    import struct
+
+    from snda import checkpoint, model
+
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(tiny_model, path)
+    raw = open(path, "rb").read()
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16:16 + meta_len])
+    meta["model_config"].update(d_model=4096, d_ff=16384, layers=64)
+    big = json.dumps(meta, sort_keys=True).encode("utf-8")
+    hostile = str(tmp_path / "hostile.ckpt")
+    open(hostile, "wb").write(raw[:8] + struct.pack("<Q", len(big)) + big + raw[16 + meta_len:])
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("init_model called while loading")
+
+    monkeypatch.setattr(model, "init_model", no_init)
+    monkeypatch.setattr(checkpoint, "init_model", no_init, raising=False)
+    with pytest.raises(CheckpointError, match="implies"):
+        load_checkpoint(hostile)
+    loaded, _, _ = load_checkpoint(path)  # a sound file still loads without init_model
+    assert np.array_equal(loaded.params["tok_emb"].data, tiny_model.params["tok_emb"].data)

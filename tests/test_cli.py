@@ -166,11 +166,13 @@ def test_train_rejects_unknown_task(in_tmp, capsys):
 @pytest.fixture
 def tiny_ckpts(in_tmp, tiny_model, tiny_encdec):
     """lm.ckpt (unconditional) and mt.ckpt (encoder-decoder), both v=8 N=8
-    over the char vocabulary a..f, plus a source file and a config file."""
+    over the char vocabulary a..f, plus a source file, a corpus and a config
+    file."""
     for name, model in (("lm.ckpt", tiny_model), ("mt.ckpt", tiny_encdec)):
         save_checkpoint(model, name)
         Vocab(list("abcdef"), kind="char").save(name + ".vocab")
     (in_tmp / "src.txt").write_text("abc\nfed\ncab\n")
+    (in_tmp / "corpus.txt").write_text("abcdef\nfedcba\n")
     (in_tmp / "temps.cfg").write_text("temps = 0.9\n")
     return in_tmp
 
@@ -186,8 +188,21 @@ def tiny_ckpts(in_tmp, tiny_model, tiny_encdec):
     ("ablate --task copy --v_task 6 --len_min 2 --len_max 6 --model.N 8 "
      "--train.total_steps 2 --train.batch_size 4 --sampler.T 1 --checkpoint lm.ckpt",
      "checkpoint"),
+    ("sample --checkpoint lm.ckpt --steps 1 --sampler.rerank_width 2", "sampler.rerank_width"),
+    ("inpaint --checkpoint lm.ckpt --template a*b --steps 1 --sampler.rerank_width 2",
+     "sampler.rerank_width"),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 2 --steps 1 "
+     "--sampler.rerank_width 2", "sampler.rerank_width"),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 2 --steps 1 "
+     "--sampler.temperature 0.5", "sampler.temperature"),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 2 --steps 1 "
+     "--sampler.seed 3", "sampler.seed"),
+    ("ablate --task copy --v_task 6 --len_min 2 --len_max 6 --model.N 8 "
+     "--train.total_steps 2 --train.batch_size 4 --sampler.T 1 --train.unroll_terms 1",
+     "train.unroll_terms"),
 ], ids=["sample-flag", "sample-config", "translate", "inpaint", "eval-task", "bench-checkpoint",
-        "ablate"])
+        "ablate", "sample-rerank", "inpaint-rerank", "eval-corpus-rerank",
+        "eval-corpus-temperature", "eval-corpus-seed", "ablate-unroll-terms"])
 def test_command_rejects_keys_it_does_not_read(tiny_ckpts, capsys, argv, unread):
     before = sorted(os.listdir("."))
     assert run(argv.split() + ["--out", "report.txt"]) == 1

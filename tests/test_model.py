@@ -1,11 +1,13 @@
 """Denoiser architecture: shapes, masking, conditioning, length classes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from snda.model import (ModelConfig, build_conditioning, denoise_logits,
-                        encode_source, init_model, length_class,
-                        predict_length)
+                        init_model, length_class)
+from snda.numerics import softmax_array
 
 
 def test_config_validation():
@@ -69,27 +71,41 @@ def test_length_class_values():
                           np.array([1, 2, 5]))
 
 
-def test_encode_source_masks_padding(tiny_encdec):
-    src = np.array([2, 3, 4, 0, 0, 0, 0, 0])
-    enc, mask = encode_source(tiny_encdec, src, 3)
-    assert enc.data.shape == (1, 8, 16)
-    assert mask.tolist() == [[True] * 3 + [False] * 5]
+def test_build_conditioning_masks_padding(tiny_encdec):
+    src = np.array([[2, 3, 4, 0, 0, 0, 0, 0]])
+    cond, _ = build_conditioning(tiny_encdec, src, [3])
+    # memory: the length row, then one encoding per source position
+    assert cond.memory.data.shape == (1, 1 + 8, 16)
+    assert cond.key_mask.tolist() == [[True] + [True] * 3 + [False] * 5]
+    # what stands in the padding reaches neither the length nor the decoder
+    other, _ = build_conditioning(tiny_encdec, np.array([[2, 3, 4, 7, 6, 5, 7, 6]]), [3])
+    x = np.random.default_rng(0).integers(0, 8, size=8)
+    assert np.allclose(denoise_logits(tiny_encdec, x, cond).data,
+                       denoise_logits(tiny_encdec, x, other).data, atol=1e-6)
 
 
-def test_predict_length_shapes_and_classes(tiny_encdec):
+def test_length_logits_shapes_and_classes(tiny_encdec):
     src = np.array([[2, 3, 4, 5, 0, 0, 0, 0]])
-    enc, _ = encode_source(tiny_encdec, src, np.array([4]))
-    lp = predict_length(tiny_encdec, enc, np.array([4]))
-    assert lp.probs.shape == (1, tiny_encdec.config.N_d)
-    assert np.allclose(lp.probs.sum(axis=-1), 1.0, atol=1e-6)
-    assert 0 <= lp.predicted_class[0] < tiny_encdec.config.N_d
+    cond, logits = build_conditioning(tiny_encdec, src, np.array([4]))
+    probs = softmax_array(logits.data)
+    assert probs.shape == (1, tiny_encdec.config.N_d)
+    assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
+    predicted = probs.argmax(axis=-1)
+    assert 0 <= predicted[0] < tiny_encdec.config.N_d
+    # without a target length the memory's length row embeds the argmax
+    assert np.array_equal(cond.memory.data[0, 0],
+                          tiny_encdec.params["len_emb"].data[predicted[0]])
 
 
 def test_build_conditioning_teacher_forced_vs_predicted(tiny_encdec):
-    src = np.array([2, 3, 4, 0, 0, 0, 0, 0])
-    forced = build_conditioning(tiny_encdec, src, 3, target_length=3)
-    free = build_conditioning(tiny_encdec, src, 3)
-    assert forced.length_embedding.data.shape == free.length_embedding.data.shape
+    src = np.array([[2, 3, 4, 0, 0, 0, 0, 0]])
+    forced, forced_logits = build_conditioning(tiny_encdec, src, [3], target_length=[3])
+    free, free_logits = build_conditioning(tiny_encdec, src, [3])
+    assert forced.memory.data.shape == free.memory.data.shape
+    assert np.array_equal(forced.memory.data[:, 1:], free.memory.data[:, 1:])
+    assert np.array_equal(forced_logits.data, free_logits.data)
+    assert np.array_equal(forced.memory.data[0, 0],
+                          tiny_encdec.params["len_emb"].data[length_class(3, 2)])
     x = np.random.default_rng(0).integers(0, 8, size=8)
     out = denoise_logits(tiny_encdec, x, forced).data
     assert out.shape == (8, 8)
@@ -97,11 +113,40 @@ def test_build_conditioning_teacher_forced_vs_predicted(tiny_encdec):
 
 def test_conditioning_changes_decoder_output(tiny_encdec):
     x = np.random.default_rng(4).integers(0, 8, size=8)
-    c1 = build_conditioning(tiny_encdec, np.array([2, 3, 0, 0, 0, 0, 0, 0]), 2)
-    c2 = build_conditioning(tiny_encdec, np.array([5, 6, 7, 2, 0, 0, 0, 0]), 4)
+    c1, _ = build_conditioning(tiny_encdec, np.array([[2, 3, 0, 0, 0, 0, 0, 0]]), [2])
+    c2, _ = build_conditioning(tiny_encdec, np.array([[5, 6, 7, 2, 0, 0, 0, 0]]), [4])
     a = denoise_logits(tiny_encdec, x, c1).data
     b = denoise_logits(tiny_encdec, x, c2).data
     assert not np.allclose(a, b, atol=1e-5)
+
+
+def test_build_conditioning_rejects_malformed_input(tiny_encdec, tiny_model):
+    src = np.array([[2, 3, 4, 0, 0, 0, 0, 0]])
+    for args, kwargs in [((src[0], [3]), {}),                     # a 1-D source
+                         ((src, 3), {}),                          # a scalar length
+                         ((src, [3, 3]), {}),                     # two lengths, one source
+                         ((src, [0]), {}),                        # empty source
+                         ((src, [3]), {"target_length": [0]}),    # below range
+                         ((src, [3]), {"target_length": [9]}),    # beyond N
+                         ((src, [3]), {"target_length": [3, 3]})]:
+        with pytest.raises(ValueError):
+            build_conditioning(tiny_encdec, *args, **kwargs)
+    with pytest.raises(ValueError):
+        build_conditioning(tiny_model, src, [3])
+
+
+def test_conditioned_forward_is_pinned(tiny_encdec):
+    # batched decoder logits under predicted and teacher-forced conditioning:
+    # however the memory is built, these stay bit-identical
+    rng = np.random.default_rng(3)
+    lens = rng.integers(1, 9, size=5)
+    src = np.where(np.arange(8) < lens[:, None], rng.integers(2, 8, size=(5, 8)), 0)
+    x = rng.integers(0, 8, size=(5, 8))
+    h = hashlib.sha256()
+    for target in (None, np.array([1, 3, 5, 8, 2])):
+        cond, _ = build_conditioning(tiny_encdec, src, lens, target_length=target)
+        h.update(denoise_logits(tiny_encdec, x, cond).data.astype("<f4").tobytes())
+    assert h.hexdigest()[:16] == "30afbb3c2a7d6bc8"
 
 
 def test_astype_round_trip(tiny_model):

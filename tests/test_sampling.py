@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from snda.model import build_conditioning, denoise_logits
-from snda.sampling import (ChainTrace, SamplerConfig, Template, dump_trace,
+from snda.sampling import (SamplerConfig, Template,
                            argmax_unrolled_step, exact_chain_prob, model_score,
                            rerank_seeds, sample_chain, sample_chains, sample_reranked,
                            sample_step_low_temp, transition_matrix,
@@ -193,15 +193,6 @@ def test_sample_reranked_picks_min_score(tiny_model):
     assert min(scores) == model_score(tiny_model, best)
 
 
-def test_dump_trace_format(tiny_model):
-    cfg = SamplerConfig(T=2, temperature=0.5, early_stop=False, seed=0)
-    text = dump_trace(sample_chain(tiny_model, cfg))
-    lines = text.splitlines()
-    assert lines[0].startswith("step=0 changed=0 ")
-    assert lines[1].startswith("step=1 changed=")
-    assert len(lines[0].split()) == 2 + 8
-
-
 def test_transition_matrix_is_stochastic(micro_model):
     M = transition_matrix(micro_model)
     assert M.shape == (9, 9)
@@ -230,8 +221,8 @@ def test_exact_chain_prob_guards(micro_model, tiny_model):
 def test_encoder_decoder_chain_requires_cond(tiny_encdec):
     with pytest.raises(ValueError):
         sample_chain(tiny_encdec, SamplerConfig(T=2))
-    cond = build_conditioning(tiny_encdec,
-                              np.array([2, 3, 4, 0, 0, 0, 0, 0]), 3)
+    cond, _ = build_conditioning(tiny_encdec,
+                                 np.array([[2, 3, 4, 0, 0, 0, 0, 0]]), [3])
     trace = sample_chain(tiny_encdec, SamplerConfig(T=2, seed=0), cond=cond)
     assert len(trace.states) >= 2
 
@@ -265,7 +256,7 @@ def test_sample_chains_equal_one_chain_per_seed(tiny_model, tiny_encdec, seeds, 
         rng = np.random.default_rng(seeds[0])
         lens = rng.integers(1, 9, size=len(seeds))
         src = np.where(np.arange(8) < lens[:, None], rng.integers(2, 8, size=(len(seeds), 8)), 0)
-        cond = build_conditioning(model, src, lens)
+        cond, _ = build_conditioning(model, src, lens)
         conds = [cond.take([b]) for b in range(len(seeds))]
         if conditioning == "shared":
             cond = conds[0]

@@ -1,12 +1,17 @@
 """Unrolled loss, schedule, optimizer loop, checkpoint averaging."""
 
+import hashlib
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from snda.data import PairBatch, pairs_to_batch, synth_task_gen
-from snda.model import ModelConfig, init_model
-from snda.numerics import NumericError, cross_entropy
+from snda.model import (DenoiserModel, ModelConfig, build_conditioning, init_model,
+                        length_class)
+from snda.numerics import NumericError, ParamSet, cross_entropy, grad_check
 from snda.sampling import SamplerConfig, sample_chain
 from snda.training import (TrainConfig, average_checkpoints, averaged_model,
                            loss_unrolled, lr_schedule, make_train_state,
@@ -79,6 +84,67 @@ def test_loss_unrolled_conditional_adds_length_loss(tiny_encdec):
     batch = pairs_to_batch(pairs)
     loss, terms = loss_unrolled(tiny_encdec, batch, 1, np.random.default_rng(0))
     assert loss.item() > terms[0]  # length CE is added on top
+
+
+def test_loss_unrolled_length_term_is_cross_entropy_of_length_logits(tiny_encdec):
+    batch = pairs_to_batch(synth_task_gen(0, 1, 4, "copy", (2, 6), v_task=6, N=8))
+    loss, terms = loss_unrolled(tiny_encdec, batch, 2, np.random.default_rng(0))
+    _, logits = build_conditioning(tiny_encdec, batch.sources, batch.source_lengths,
+                                   target_length=batch.target_lengths)
+    length = cross_entropy(logits, length_class(batch.target_lengths, 2)).item()
+    f32 = np.float32
+    assert loss.item() == (f32(terms[0]) + f32(terms[1])) * f32(0.5) + f32(length)
+
+
+def test_conditional_loss_is_pinned(tiny_encdec):
+    # loss and unroll terms with and without dropout: however the
+    # conditioning is built, these stay bit-identical
+    batch = pairs_to_batch(synth_task_gen(0, 1, 6, "copy", (2, 6), v_task=6, N=8))
+    dropped = DenoiserModel(replace(tiny_encdec.config, dropout=0.1), tiny_encdec.params)
+    h = hashlib.sha256()
+    for model, train in ((tiny_encdec, False), (dropped, True)):
+        loss, terms = loss_unrolled(model, batch, 2, np.random.default_rng(4),
+                                    train_mode=train, label_smoothing=0.1)
+        h.update(np.array([loss.item()] + terms).astype("<f8").tobytes())
+    assert h.hexdigest()[:16] == "59b0c7e77fc00ea9"
+
+
+def test_conditional_gradients_are_pinned():
+    # two decoder layers read the cross-attention memory; its gradient sums
+    # each layer's key and value gradients before adding the layers, the
+    # float order that seeded training was pinned in
+    cfg = ModelConfig(v=8, N=8, layers=2, d_model=16, heads=2, d_ff=32,
+                      dropout=0.0, mode="encoder_decoder", d_LP=16)
+    model = perturb(init_model(cfg, np.random.default_rng(7)))
+    batch = pairs_to_batch(synth_task_gen(0, 1, 6, "copy", (2, 6), v_task=6, N=8))
+    loss, _ = loss_unrolled(model, batch, 2, np.random.default_rng(4), label_smoothing=0.1)
+    loss.backward()
+    h = hashlib.sha256()
+    for _, t in model.params.items():
+        h.update(t.grad.astype("<f4").tobytes())
+    assert h.hexdigest()[:16] == "339392c198c50dda"
+
+
+def test_conditional_gradients_match_finite_differences(tiny_encdec):
+    model = tiny_encdec.astype(np.float64)
+    batch = pairs_to_batch(synth_task_gen(0, 1, 3, "copy", (2, 6), v_task=6, N=8))
+
+    def whole_loss():
+        return loss_unrolled(model, batch, 2, np.random.default_rng(42), False, 0.1)[0]
+
+    def terms_mean():
+        # the same graph, valued at the unroll terms' mean: the length loss
+        # reads detached encodings, so outside lp.* backward differentiates
+        # the terms' mean only
+        loss, terms = loss_unrolled(model, batch, 2, np.random.default_rng(42), False, 0.1)
+        return loss + (math.fsum(terms) / 2 - loss.item())
+
+    length_predictor, rest = ParamSet(), ParamSet()
+    for name, t in model.params.items():
+        (length_predictor if name.startswith("lp.") else rest).add(name, t)
+    for params, loss_fn in ((length_predictor, whole_loss), (rest, terms_mean)):
+        err = grad_check(loss_fn, params, step=3e-5, max_coords=6, seed=7)
+        assert err <= 1e-6, f"max relative error {err:.3e}"
 
 
 def test_loss_unrolled_rejects_pairbatch_on_unconditional(tiny_model):
