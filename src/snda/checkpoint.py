@@ -81,12 +81,13 @@ def load_checkpoint(path: str) -> tuple[DenoiserModel, int, int]:
         raise CheckpointError(f"invalid checkpoint metadata: {e}") from e
 
     layout = param_layout(config)
-    need = sum(8 + len(name.encode("utf-8")) + 8 + 8 * len(shape)
-               + dtype.itemsize * math.prod(shape) for name, shape, _ in layout)
+    size = sum(math.prod(shape) for _, shape, _ in layout)
+    need = dtype.itemsize * size + sum(8 + len(name.encode("utf-8")) + 8 + 8 * len(shape)
+                                       for name, shape, _ in layout)
     if need != len(raw) - pos:
         raise CheckpointError(f"checkpoint holds {len(raw) - pos} bytes of parameters; "
                               f"its config implies {need}")
-    params = ParamSet()
+    params = ParamSet(layout, np.empty(size, dtype=config.dtype))
     for expect, shape, _ in layout:
         name = bytes(read(read_u64(f"name length of {expect!r}"), "parameter name")).decode("utf-8")
         if name != expect:
@@ -97,5 +98,5 @@ def load_checkpoint(path: str) -> tuple[DenoiserModel, int, int]:
             raise CheckpointError(f"shape mismatch for {name!r}: file has "
                                   f"{dims}, config implies {shape}")
         values = read(dtype.itemsize * math.prod(dims), f"values of {name!r}")
-        params.add(name, np.frombuffer(values, dtype=dtype).reshape(dims).astype(config.dtype))
+        params[name].data[...] = np.frombuffer(values, dtype=dtype).reshape(dims)
     return DenoiserModel(config, params), int(meta["step"]), int(meta["seed"])

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, parse_config_file, set_key
+from .config import ConfigError, RunConfig, integer, parse_config_file, set_key
 from .data import PAD, Vocab, encode, decode, load_corpus, TokenSeq
 from .evaluation import draw_samples, exact_match, quality_diversity_curve, strip_pad, translate
 from .experiments import (ABLATION_SAMPLER, ablation_report, bench_report,
@@ -30,7 +30,7 @@ def _sampler_cfg(cfg: RunConfig, exclusive=("steps", "seed")) -> SamplerConfig:
         if top not in cfg.top:
             continue
         if key not in kwargs:
-            kwargs[key] = int(cfg.top[top])
+            kwargs[key] = integer(top, cfg.top[top])
         elif top in exclusive:
             raise ConfigError(f"--{top} and --sampler.{key} both set sampler.{key}; "
                               "give one of them")
@@ -44,8 +44,12 @@ def _require(cfg: RunConfig, key: str):
     return value
 
 
+def _int(cfg: RunConfig, key: str, default: int) -> int:
+    return integer(key, cfg.get(key, default))
+
+
 def _len_range(cfg: RunConfig) -> tuple[int, int]:
-    return int(cfg.get("len_min", 4)), int(cfg.get("len_max", 12))
+    return _int(cfg, "len_min", 4), _int(cfg, "len_max", 12)
 
 
 def _train_settings(cfg: RunConfig) -> tuple[dict, dict]:
@@ -57,8 +61,8 @@ def _task_train_kwargs(cfg: RunConfig) -> dict:
     """train_synthetic keyword arguments for every task, model.* and train.*
     setting."""
     model_overrides, train_overrides = _train_settings(cfg)
-    return dict(v_task=int(cfg.get("v_task", 14)), len_range=_len_range(cfg),
-                N=int(cfg.model.get("N", 16)), model_overrides=model_overrides,
+    return dict(v_task=_int(cfg, "v_task", 14), len_range=_len_range(cfg),
+                N=cfg.model.get("N", 16), model_overrides=model_overrides,
                 **train_overrides)
 
 
@@ -77,7 +81,7 @@ def _save_run(cfg: RunConfig, model, lines: list[str], seed: int) -> int:
 
 
 def cmd_train_task(cfg: RunConfig) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed = _int(cfg, "seed", 0)
     lines: list[str] = []
     model, _ = train_synthetic(cfg.get("task"), seed=seed, log_fn=lines.append,
                                **_task_train_kwargs(cfg))
@@ -85,7 +89,7 @@ def cmd_train_task(cfg: RunConfig) -> int:
 
 
 def cmd_train_corpus(cfg: RunConfig) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed, log_every = _int(cfg, "seed", 0), _int(cfg, "log_every", 50)
     with open(_require(cfg, "corpus"), encoding="utf-8") as f:
         docs = [doc for doc in (ln.rstrip("\n") for ln in f) if doc]
     if cfg.get("vocab"):
@@ -95,8 +99,8 @@ def cmd_train_corpus(cfg: RunConfig) -> int:
         vocab.save(_checkpoint_path(cfg) + ".vocab")
     model_overrides, train_overrides = _train_settings(cfg)
     lines: list[str] = []
-    model = train_lm(docs, vocab, seed=seed, N=int(cfg.model.get("N", 32)),
-                     log_every=int(cfg.get("log_every", 50)), log_fn=lines.append,
+    model = train_lm(docs, vocab, seed=seed, N=cfg.model.get("N", 32),
+                     log_every=log_every, log_fn=lines.append,
                      model_overrides=model_overrides, **train_overrides)
     return _save_run(cfg, model, lines, seed)
 
@@ -119,7 +123,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     model = _load_model(cfg)
     vocab = _load_vocab(cfg)
     scfg = _sampler_cfg(cfg)
-    samples = draw_samples(model, scfg, int(cfg.get("count", 1)), scfg.seed)
+    samples = draw_samples(model, scfg, _int(cfg, "count", 1), scfg.seed)
     _emit(cfg, [_text(ids, vocab) for ids in samples])
     return 0
 
@@ -157,9 +161,8 @@ def cmd_inpaint(cfg: RunConfig) -> int:
 
 def cmd_eval_task(cfg: RunConfig) -> int:
     model = _load_model(cfg)
-    pairs = heldout_pairs(cfg.get("task"), int(cfg.get("seed", 0)),
-                          int(cfg.get("count", 100)), _len_range(cfg),
-                          int(cfg.get("v_task", 14)), model.config.N)
+    pairs = heldout_pairs(cfg.get("task"), _int(cfg, "seed", 0), _int(cfg, "count", 100),
+                          _len_range(cfg), _int(cfg, "v_task", 14), model.config.N)
     # --seed also picks the task's held-out pairs, so --sampler.seed may differ
     acc = exact_match(model, pairs, _sampler_cfg(cfg, exclusive=("steps",)))
     _emit(cfg, [f"variant=eval metric=exact_match value={acc:.6f}"])
@@ -174,8 +177,8 @@ def cmd_eval_corpus(cfg: RunConfig) -> int:
     refs = [enc.ids[: enc.content_len].tolist()
             for enc in load_corpus(corpus_path, vocab, model.config.N)]
     temps = [float(t) for t in str(_require(cfg, "temps")).split(",")]
-    points = quality_diversity_curve(model, temps, int(cfg.get("count", 50)),
-                                     refs, sampler_cfg=scfg, seed=int(cfg.get("seed", 0)))
+    points = quality_diversity_curve(model, temps, _int(cfg, "count", 50),
+                                     refs, sampler_cfg=scfg, seed=_int(cfg, "seed", 0))
     _emit(cfg, [f"variant=tau{p.temperature} metric=quality_bleu value={p.quality_bleu:.6f}"
                 for p in points]
                + [f"variant=tau{p.temperature} metric=self_bleu value={p.self_bleu:.6f}"
@@ -184,7 +187,7 @@ def cmd_eval_corpus(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed = _int(cfg, "seed", 0)
     if "checkpoint" in cfg.top:
         model = _load_model(cfg)
         if model.config.mode != "unconditional":
@@ -194,8 +197,8 @@ def cmd_bench(cfg: RunConfig) -> int:
         mcfg = desk_model_config(mode="unconditional",
                                  **{"v": 32, "N": 64, "dropout": 0.0, **cfg.model})
         model = init_model(mcfg, np.random.default_rng(seed))
-    T_values = [int(t) for t in str(cfg.get("steps", "4,8,10,16")).split(",")]
-    text, _ = bench_report(model, T_values, batch=int(cfg.get("count", 32)), seed=seed)
+    T_values = [integer("steps", t) for t in str(cfg.get("steps", "4,8,10,16")).split(",")]
+    text, _ = bench_report(model, T_values, batch=_int(cfg, "count", 32), seed=seed)
     _emit(cfg, text.splitlines())
     return 0
 
@@ -208,7 +211,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     table, machine = ablation_report(
         task, variants, train_kwargs=_task_train_kwargs(cfg),
         sampler_cfg=replace(ABLATION_SAMPLER, **cfg.sampler),
-        seed=int(cfg.get("seed", 0)))
+        seed=_int(cfg, "seed", 0))
     _emit(cfg, table.splitlines() + machine)
     return 0
 
@@ -277,9 +280,6 @@ COMMANDS = [
     _branch("ablate", "", cmd_ablate, "unroll-count / length-prediction ablation table",
             _TASK_KEYS + " out", "model train sampler", _DERIVED + " train.unroll_terms"),
 ]
-
-# every top-level key some command reads
-TOP_KEYS = frozenset(k for b in COMMANDS for k in b.keys)
 
 
 def _usage() -> str:

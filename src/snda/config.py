@@ -1,10 +1,10 @@
 """Run configuration: flat `key = value` files plus `--key value` overrides.
 
 Nested settings use dotted keys (model.layers, train.total_steps,
-sampler.temperature), one per field of the section's config class;
-top-level keys are those some command of `snda.cli` reads.
-Unknown keys and non-integer values for integer fields are rejected so
-typos fail loudly.
+sampler.temperature), one per field of the section's config class.
+Unknown section keys and non-integer values for integer settings are
+rejected so typos fail loudly; `snda.cli` rejects any top-level key that
+the command does not read.
 """
 
 from __future__ import annotations
@@ -48,6 +48,17 @@ def _convert(raw: str):
     return text
 
 
+def integer(key: str, value) -> int:
+    """The setting `key` as an int; booleans and fractions are errors."""
+    if isinstance(value, str):
+        value = _convert(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def set_key(cfg: RunConfig, key: str, raw_value: str):
     value = _convert(raw_value)
     if "." in key:
@@ -57,17 +68,10 @@ def set_key(cfg: RunConfig, key: str, raw_value: str):
         types = {f.name: f.type for f in fields(_SECTIONS[section])}
         if sub not in types:
             raise ConfigError(f"unknown config key: {key!r}")
-        if types[sub] in ("int", "int | None") and not isinstance(value, int):
-            if not (isinstance(value, float) and value.is_integer()):
-                raise ConfigError(f"{key} must be an integer, got {raw_value.strip()!r}")
-            value = int(value)
+        if types[sub] in ("int", "int | None"):
+            value = integer(key, value)
         getattr(cfg, section)[sub] = value
     else:
-        # top-level keys are those some command reads; the command table
-        # lives in cli, which imports this module
-        from .cli import TOP_KEYS
-        if key not in TOP_KEYS:
-            raise ConfigError(f"unknown config key: {key!r}")
         cfg.top[key] = value
 
 

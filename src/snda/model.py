@@ -136,22 +136,23 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple, object]]:
     return out
 
 
-_FILL = {"zeros": np.zeros, "ones": np.ones}
+_FILL = {"zeros": 0.0, "ones": 1.0}
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator | int) -> DenoiserModel:
     """Scaled-uniform init, zero output head (untrained logits are uniform)."""
     if isinstance(rng, int):
         rng = np.random.default_rng(rng)
-    dt = np.dtype(config.dtype)
-    p = ParamSet()
-    for name, shape, init in param_layout(config):
+    layout = param_layout(config)
+    params = ParamSet(layout, np.empty(sum(math.prod(shape) for _, shape, _ in layout),
+                                       dtype=config.dtype))
+    for (_, shape, init), (_, t) in zip(layout, params.items()):
         if init in _FILL:
-            p.add(name, _FILL[init](shape, dtype=dt))
+            t.data[...] = _FILL[init]
         else:
             s = 1.0 / math.sqrt(init)
-            p.add(name, rng.uniform(-s, s, size=shape).astype(dt))
-    return DenoiserModel(config, p)
+            t.data[...] = rng.uniform(-s, s, size=shape)
+    return DenoiserModel(config, params)
 
 
 def _linear(p: ParamSet, name: str, x: Tensor) -> Tensor:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 
 import numpy as np
 
@@ -65,9 +66,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
@@ -328,24 +326,29 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 
 class ParamSet:
-    """Named, ordered collection of parameter Tensors."""
+    """Named parameter Tensors, each a view of its slice of one flat array.
 
-    def __init__(self):
+    `layout` gives each parameter's (name, shape, ...) in `flat` order, as
+    `model.param_layout` does. Whole-model work (the optimizer update,
+    snapshots, averaging, casts) runs on `flat`. Values change only in
+    place: rebinding a parameter's `data` cuts it off from `flat`.
+    """
+
+    def __init__(self, layout, flat: np.ndarray):
+        self.layout = [(name, tuple(shape)) for name, shape, *_ in layout]
+        sizes = [math.prod(shape) for _, shape in self.layout]
+        if flat.shape != (sum(sizes),):
+            raise ValueError(f"layout holds {sum(sizes)} values, flat has shape {flat.shape}")
+        self.flat = flat
         self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, data) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        t = data if isinstance(data, Tensor) else Tensor(data)
-        t.requires_grad = True
-        self._params[name] = t
-        return t
+        for (name, shape), stop, size in zip(self.layout, np.cumsum(sizes), sizes):
+            if name in self._params:
+                raise ValueError(f"duplicate parameter name: {name}")
+            self._params[name] = Tensor(flat[stop - size: stop].reshape(shape),
+                                        requires_grad=True)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self):
         return self._params.items()
@@ -354,24 +357,23 @@ class ParamSet:
         for t in self._params.values():
             t.grad = None
 
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {k: t.data.copy() for k, t in self._params.items()}
+    def grads(self) -> np.ndarray:
+        """Every gradient in `flat` order, zeros where none reached."""
+        return np.concatenate([(np.zeros(t.data.size, self.flat.dtype) if t.grad is None
+                                else t.grad.reshape(-1)) for t in self._params.values()])
 
     def load_values(self, values: dict[str, np.ndarray]):
         for k, t in self._params.items():
             src = values[k]
             if src.shape != t.data.shape:
                 raise ValueError(f"shape mismatch for {k}: {src.shape} vs {t.data.shape}")
-            t.data = src.astype(t.data.dtype).copy()
+            t.data[...] = src
 
     def astype(self, dtype) -> "ParamSet":
-        out = ParamSet()
-        for k, t in self._params.items():
-            out.add(k, t.data.astype(dtype))
-        return out
+        return ParamSet(self.layout, self.flat.astype(dtype))
 
 
-def grad_check(loss_fn, params: ParamSet, step: float = 1e-3,
+def grad_check(loss_fn, params, step: float = 1e-3,
                max_coords: int = 512, seed: int = 0, full: bool = False) -> float:
     """Max relative error of reverse-mode gradients vs central differences.
 
@@ -379,18 +381,20 @@ def grad_check(loss_fn, params: ParamSet, step: float = 1e-3,
     randomness fixed by its own seed). Checks a fixed-seed subsample of at
     most `max_coords` coordinates per tensor unless `full` is set.
 
-    Reverse-mode gradients are taken from the parameters' own precision;
-    the finite-difference oracle always evaluates on a temporary float64
-    upcast of the parameters (a 32-bit loss is too quantized to difference).
+    params is a ParamSet or a {name: Tensor} dict. Reverse-mode gradients
+    are taken from the parameters' own precision; the finite-difference
+    oracle always evaluates on a temporary float64 upcast of the parameters
+    (a 32-bit loss is too quantized to difference).
     """
-    params.zero_grad()
+    for _, t in params.items():
+        t.grad = None
     loss = loss_fn()
     loss.backward()
     analytic = {k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
                 for k, t in params.items()}
 
     saved = {k: t.data for k, t in params.items()}
-    for t in params._params.values():
+    for _, t in params.items():
         t.data = t.data.astype(np.float64)
     try:
         rng = np.random.default_rng(seed)
@@ -424,6 +428,6 @@ def grad_check(loss_fn, params: ParamSet, step: float = 1e-3,
                 denom = max(abs(a), abs(best), floor)
                 worst = max(worst, abs(a - best) / denom)
     finally:
-        for k, t in params._params.items():
+        for k, t in params.items():
             t.data = saved[k]
     return worst

@@ -143,7 +143,7 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
     the chains still running. A chain that stops early leaves the batch and
     is scored with the logits its last step computed, since its final state
     is that step's input; the other chains share one scoring forward at the
-    end. `cond` holds one row per chain, or one row that every chain shares.
+    end. `cond` holds one row per chain.
     """
     mcfg = model.config
     if mcfg.mode == "encoder_decoder" and cond is None:
@@ -151,9 +151,7 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
     rngs = [np.random.default_rng(seed) for seed in seeds]
     B = len(rngs)
     if cond is not None and len(cond.key_mask) != B:
-        if len(cond.key_mask) != 1:
-            raise ValueError("conditioning needs one row, or one row per chain")
-        cond = cond.take(np.zeros(B, dtype=np.int64))
+        raise ValueError("conditioning needs one row per chain")
     clamp = init.clamp_mask if init is not None else None
     n_free = mcfg.N if clamp is None else int((~clamp).sum())
     x = np.array([rng.integers(0, mcfg.v, size=mcfg.N) for rng in rngs],
@@ -227,18 +225,6 @@ def rerank(traces: list[ChainTrace]):
     at the lowest index), and every chain's final score."""
     scores = [trace.final_score for trace in traces]
     return traces[int(np.argmin(scores))].states[-1], scores
-
-
-def sample_reranked(model: DenoiserModel, cfg: SamplerConfig,
-                    init: Template | None = None,
-                    cond: Conditioning | None = None):
-    """Run rerank_width chains as one batch and keep the one whose final
-    state has the lowest model score.
-
-    Returns (best final state, every chain's final score).
-    """
-    return rerank(sample_chains(model, cfg, rerank_seeds(cfg.seed, cfg.rerank_width),
-                                init, cond))
 
 
 def _all_states(v: int, N: int) -> np.ndarray:

@@ -47,24 +47,27 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if self.snapshot_interval is None:
             self.snapshot_interval = max(1, self.total_steps // 20)
+        if self.snapshot_interval < 1:
+            raise ValueError("snapshot_interval must be >= 1")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
 
 
 @dataclass
 class TrainState:
     model: DenoiserModel
     cfg: TrainConfig
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray               # AdamW moments, in params.flat order
+    v: np.ndarray
     step: int
-    snapshots: deque
+    snapshots: deque            # copies of params.flat
     rng: np.random.Generator
 
 
 def make_train_state(model: DenoiserModel, cfg: TrainConfig) -> TrainState:
-    zeros = {k: np.zeros_like(t.data) for k, t in model.params.items()}
     return TrainState(
         model=model, cfg=cfg,
-        m=zeros, v={k: z.copy() for k, z in zeros.items()},
+        m=np.zeros_like(model.params.flat), v=np.zeros_like(model.params.flat),
         step=0, snapshots=deque(maxlen=cfg.ckpt_average_window),
         rng=np.random.default_rng(cfg.seed),
     )
@@ -133,37 +136,36 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
 
 
 def train_step(state: TrainState, batch) -> tuple[float, list[float]]:
-    """One optimizer step: unrolled loss, Adam update with decoupled decay.
+    """One optimizer step: unrolled loss, then one AdamW update (Adam with
+    decoupled weight decay) of the whole flat parameter array.
 
     Returns the step's loss and its per-term reconstruction losses."""
     cfg = state.cfg
-    model = state.model
-    model.params.zero_grad()
-    loss, terms = loss_unrolled(model, batch, cfg.unroll_terms, state.rng,
+    params = state.model.params
+    params.zero_grad()
+    loss, terms = loss_unrolled(state.model, batch, cfg.unroll_terms, state.rng,
                                 train_mode=True, label_smoothing=cfg.label_smoothing)
-    if not np.isfinite(loss.item()):
+    value = loss.item()
+    if not np.isfinite(value):
         raise NumericError(f"non-finite loss at step {state.step}")
     loss.backward()
+    del loss    # frees the tape before the update's full-size temporaries
 
     state.step += 1
     lr = lr_schedule(state.step, cfg)
     t = state.step
-    for name, p in model.params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1 - cfg.beta2) * g * g
-        mhat = m / (1 - cfg.beta1 ** t)
-        vhat = v / (1 - cfg.beta2 ** t)
-        p.data -= (lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps)
-                         + cfg.weight_decay * p.data)).astype(p.data.dtype)
+    p, g, m, v = params.flat, params.grads(), state.m, state.v
+    m *= cfg.beta1
+    m += (1 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1 - cfg.beta2) * g * g
+    mhat = m / (1 - cfg.beta1 ** t)
+    vhat = v / (1 - cfg.beta2 ** t)
+    p -= (lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + cfg.weight_decay * p)).astype(p.dtype)
 
     if state.step % cfg.snapshot_interval == 0:
-        state.snapshots.append(model.params.copy_values())
-    return loss.item(), terms
+        state.snapshots.append(p.copy())
+    return value, terms
 
 
 def metrics_line(state: TrainState, loss: float, terms: list[float]) -> str:
@@ -189,25 +191,21 @@ def train_loop(state: TrainState, batch_fn, log_every: int = 50,
     return lines
 
 
-def average_checkpoints(snapshots) -> dict[str, np.ndarray]:
-    """Arithmetic mean per parameter over snapshots."""
-    snaps = [s.copy_values() if isinstance(s, ParamSet) else s for s in snapshots]
-    if not snaps:
+def average_checkpoints(snapshots: list[np.ndarray]) -> np.ndarray:
+    """Elementwise mean of flat parameter snapshots. The sum runs in float64,
+    one snapshot at a time, so averaging identical snapshots is bit-exact."""
+    if not snapshots:
         raise ValueError("need at least one snapshot")
-    names = list(snaps[0])
-    for s in snaps[1:]:
-        if list(s) != names or any(s[k].shape != snaps[0][k].shape for k in names):
+    total = np.zeros(snapshots[0].shape, dtype=np.float64)
+    for snap in snapshots:
+        if snap.shape != total.shape:
             raise ValueError("snapshot shape mismatch")
-    # accumulate in float64 so averaging identical snapshots is bit-exact
-    return {k: np.mean(np.stack([s[k] for s in snaps]).astype(np.float64),
-                       axis=0).astype(snaps[0][k].dtype)
-            for k in names}
+        total += snap
+    return (total / len(snapshots)).astype(snapshots[0].dtype)
 
 
 def averaged_model(state: TrainState) -> DenoiserModel:
     """Evaluation model: mean of the recent snapshots (or current params)."""
-    model = DenoiserModel(state.model.config,
-                          state.model.params.astype(state.model.config.dtype))
-    if state.snapshots:
-        model.params.load_values(average_checkpoints(list(state.snapshots)))
-    return model
+    params = state.model.params
+    flat = average_checkpoints(list(state.snapshots)) if state.snapshots else params.flat.copy()
+    return DenoiserModel(state.model.config, ParamSet(params.layout, flat))

@@ -7,10 +7,11 @@ from snda.model import ModelConfig, init_model
 
 
 def perturb(model, scale=0.05, seed=1):
-    """Move parameters off init (the zero head makes init logits uniform)."""
+    """Move parameters off init (the zero head makes init logits uniform).
+    Values change in place, so every parameter stays a view of params.flat."""
     rng = np.random.default_rng(seed)
     for _, t in model.params.items():
-        t.data = (t.data + scale * rng.standard_normal(t.data.shape)).astype(t.data.dtype)
+        t.data += scale * rng.standard_normal(t.data.shape)
     return model
 
 

@@ -163,6 +163,15 @@ def test_train_rejects_unknown_task(in_tmp, capsys):
     assert not os.path.exists("model.ckpt")
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_unknown_top_level_key_rejected(in_tmp, capsys, how):
+    (in_tmp / "banana.cfg").write_text("banana = 1\n")
+    extra = ["--banana", "1"] if how == "flag" else ["--config", "banana.cfg"]
+    assert run(TRAIN_TASK + extra) == 1
+    assert "does not read --banana" in capsys.readouterr().err
+    assert not os.path.exists("model.ckpt")
+
+
 @pytest.fixture
 def tiny_ckpts(in_tmp, tiny_model, tiny_encdec):
     """lm.ckpt (unconditional) and mt.ckpt (encoder-decoder), both v=8 N=8
@@ -208,6 +217,33 @@ def test_command_rejects_keys_it_does_not_read(tiny_ckpts, capsys, argv, unread)
     assert run(argv.split() + ["--out", "report.txt"]) == 1
     err = capsys.readouterr().err
     assert f"error: snda {argv.split()[0]}" in err and f"does not read --{unread}" in err
+    assert sorted(os.listdir(".")) == before
+
+
+_EVAL_TASK = "eval --checkpoint mt.ckpt --task copy --count 2 --steps 1"
+
+
+@pytest.mark.parametrize("argv, key", [
+    ("sample --checkpoint lm.ckpt --steps 1 --count 2.9", "count"),
+    ("sample --checkpoint lm.ckpt --steps 3.7", "steps"),
+    ("sample --checkpoint lm.ckpt --steps 1 --seed 0.5", "seed"),
+    ("sample --checkpoint lm.ckpt --sampler.T true", "sampler.T"),
+    ("bench --checkpoint lm.ckpt --steps 1,2.5 --count 2", "steps"),
+    (_EVAL_TASK + " --v_task 6.5 --len_min 2 --len_max 6", "v_task"),
+    (_EVAL_TASK + " --v_task 6 --len_min true --len_max 6", "len_min"),
+    (_EVAL_TASK + " --v_task 6 --len_min 2 --len_max 6.5", "len_max"),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count true --steps 1",
+     "count"),
+    ("train --corpus corpus.txt --model.N 8 --train.total_steps 2 --train.batch_size 4 "
+     "--log_every 2.5", "log_every"),
+    ("train --task copy --v_task 6 --len_min 2 --len_max 6 --model.N 8 "
+     "--train.total_steps 2 --train.batch_size 4 --seed true", "seed"),
+], ids=["count", "steps", "seed", "sampler-T-bool", "bench-steps", "v_task", "len_min-bool",
+        "len_max", "count-bool", "log_every", "seed-bool"])
+def test_integer_settings_take_integers_only(tiny_ckpts, capsys, argv, key):
+    before = sorted(os.listdir("."))
+    assert run(argv.split() + ["--out", "report.txt"]) == 1
+    assert f"error: {key} must be an integer" in capsys.readouterr().err
     assert sorted(os.listdir(".")) == before
 
 

@@ -26,6 +26,8 @@ def test_integer_fields_take_integers_only():
         set_key(cfg, "model.layers", "2.5")
     with pytest.raises(ConfigError):
         set_key(cfg, "train.ckpt_average_window", "ten")
+    with pytest.raises(ConfigError, match="sampler.T"):
+        set_key(cfg, "sampler.T", "true")
 
 
 def test_unknown_keys_rejected():
@@ -34,8 +36,6 @@ def test_unknown_keys_rejected():
         set_key(cfg, "model.width", "4")
     with pytest.raises(ConfigError):
         set_key(cfg, "optimizer.lr", "1")
-    with pytest.raises(ConfigError):
-        set_key(cfg, "banana", "1")
 
 
 def test_parse_config_file(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from snda.model import build_conditioning, denoise_logits
 from snda.sampling import (SamplerConfig, Template,
                            argmax_unrolled_step, exact_chain_prob, model_score,
-                           rerank_seeds, sample_chain, sample_chains, sample_reranked,
+                           rerank, rerank_seeds, sample_chain, sample_chains,
                            sample_step_low_temp, transition_matrix,
                            triangular_count)
 
@@ -160,9 +160,13 @@ def test_template_validates_shapes():
         Template(np.zeros(4, dtype=np.int64), np.zeros(5))
 
 
+def _sample_reranked(model, cfg):
+    return rerank(sample_chains(model, cfg, rerank_seeds(cfg.seed, cfg.rerank_width)))
+
+
 def test_model_score_and_rerank(tiny_model):
     cfg = SamplerConfig(T=3, temperature=0.5, rerank_width=4, seed=0)
-    best, scores = sample_reranked(tiny_model, cfg)
+    best, scores = _sample_reranked(tiny_model, cfg)
     finals = [sample_chain(tiny_model, replace(cfg, seed=cfg.seed + 1000003 * i)).states[-1]
               for i in range(4)]
     assert scores == [model_score(tiny_model, f) for f in finals]
@@ -176,7 +180,7 @@ def test_sample_reranked_scores_each_chain_once(tiny_model, monkeypatch):
                         lambda model, x, *a, **k: rows.append(np.shape(x)[0]) or
                         logits(model, x, *a, **k))
     cfg = SamplerConfig(T=8, temperature=0.03, rerank_width=4, seed=0)
-    sample_reranked(tiny_model, cfg)
+    _sample_reranked(tiny_model, cfg)
     forwarded = list(rows)
     traces = [sample_chain(tiny_model, replace(cfg, seed=s)) for s in rerank_seeds(0, 4)]
     ran_all = [t.changed[-1] != 0 for t in traces]
@@ -189,7 +193,7 @@ def test_sample_reranked_scores_each_chain_once(tiny_model, monkeypatch):
 
 def test_sample_reranked_picks_min_score(tiny_model):
     cfg = SamplerConfig(T=3, temperature=0.5, rerank_width=3, seed=0)
-    best, scores = sample_reranked(tiny_model, cfg)
+    best, scores = _sample_reranked(tiny_model, cfg)
     assert min(scores) == model_score(tiny_model, best)
 
 
@@ -225,6 +229,8 @@ def test_encoder_decoder_chain_requires_cond(tiny_encdec):
                                  np.array([[2, 3, 4, 0, 0, 0, 0, 0]]), [3])
     trace = sample_chain(tiny_encdec, SamplerConfig(T=2, seed=0), cond=cond)
     assert len(trace.states) >= 2
+    with pytest.raises(ValueError, match="one row per chain"):
+        sample_chains(tiny_encdec, SamplerConfig(T=2), [0, 1], cond=cond)
 
 
 @settings(max_examples=40, deadline=None,
@@ -259,8 +265,8 @@ def test_sample_chains_equal_one_chain_per_seed(tiny_model, tiny_encdec, seeds, 
         cond, _ = build_conditioning(model, src, lens)
         conds = [cond.take([b]) for b in range(len(seeds))]
         if conditioning == "shared":
-            cond = conds[0]
-            conds = [cond] * len(seeds)
+            cond = cond.take([0] * len(seeds))
+            conds = [conds[0]] * len(seeds)
     batched = sample_chains(model, cfg, seeds, init, cond)
     for trace, seed, row_cond in zip(batched, seeds, conds):
         alone = sample_chain(model, replace(cfg, seed=seed), init, row_cond)

@@ -11,7 +11,9 @@ from scipy import stats
 from snda.data import PairBatch, pairs_to_batch, synth_task_gen
 from snda.model import (DenoiserModel, ModelConfig, build_conditioning, init_model,
                         length_class)
-from snda.numerics import NumericError, ParamSet, cross_entropy, grad_check
+from snda.checkpoint import load_checkpoint, save_checkpoint
+from snda.experiments import train_synthetic
+from snda.numerics import NumericError, cross_entropy, grad_check
 from snda.sampling import SamplerConfig, sample_chain
 from snda.training import (TrainConfig, average_checkpoints, averaged_model,
                            loss_unrolled, lr_schedule, make_train_state,
@@ -26,6 +28,15 @@ def test_config_validation():
         TrainConfig(warmup_steps=200, total_steps=100)
     cfg = TrainConfig(total_steps=100)
     assert cfg.snapshot_interval == 5  # total_steps // 20
+
+
+@pytest.mark.parametrize("field, value", [
+    ("snapshot_interval", 0), ("snapshot_interval", -1),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", -0.1),
+])
+def test_config_rejects_values_the_loop_cannot_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(total_steps=3, warmup_steps=1, **{field: value})
 
 
 def test_lr_schedule_endpoints():
@@ -139,9 +150,8 @@ def test_conditional_gradients_match_finite_differences(tiny_encdec):
         loss, terms = loss_unrolled(model, batch, 2, np.random.default_rng(42), False, 0.1)
         return loss + (math.fsum(terms) / 2 - loss.item())
 
-    length_predictor, rest = ParamSet(), ParamSet()
-    for name, t in model.params.items():
-        (length_predictor if name.startswith("lp.") else rest).add(name, t)
+    length_predictor = {k: t for k, t in model.params.items() if k.startswith("lp.")}
+    rest = {k: t for k, t in model.params.items() if not k.startswith("lp.")}
     for params, loss_fn in ((length_predictor, whole_loss), (rest, terms_mean)):
         err = grad_check(loss_fn, params, step=3e-5, max_coords=6, seed=7)
         assert err <= 1e-6, f"max relative error {err:.3e}"
@@ -205,23 +215,18 @@ def test_snapshots_follow_interval():
 
 def test_average_checkpoints_identity_and_mean():
     state = _tiny_state()
-    values = state.model.params.copy_values()
+    values = state.model.params.flat.copy()
     avg = average_checkpoints([values, values, values])
-    for k in values:
-        assert np.array_equal(avg[k], values[k])
-    doubled = {k: 3 * v for k, v in values.items()}
-    avg2 = average_checkpoints([values, doubled])
-    for k in values:
-        assert np.allclose(avg2[k], 2 * values[k], atol=1e-6)
+    assert avg.dtype == values.dtype and np.array_equal(avg, values)
+    avg2 = average_checkpoints([values, 3 * values])
+    assert np.allclose(avg2, 2 * values, atol=1e-6)
 
 
 def test_average_checkpoints_rejects_mismatch():
     state = _tiny_state()
-    values = state.model.params.copy_values()
-    bad = dict(values)
-    bad.pop(next(iter(bad)))
+    values = state.model.params.flat.copy()
     with pytest.raises(ValueError):
-        average_checkpoints([values, bad])
+        average_checkpoints([values, values[1:]])
     with pytest.raises(ValueError):
         average_checkpoints([])
 
@@ -230,9 +235,49 @@ def test_averaged_model_uses_snapshots():
     state = _tiny_state(total_steps=8)
     train_loop(state, _batch_fn)
     avg = averaged_model(state)
-    want = average_checkpoints(list(state.snapshots))
-    for k, t in avg.params.items():
-        assert np.array_equal(t.data, want[k])
+    assert np.array_equal(avg.params.flat, average_checkpoints(list(state.snapshots)))
+    assert avg.params.flat is not state.model.params.flat
+
+
+def test_seeded_training_is_pinned():
+    # 60 AdamW steps with 10 distinct snapshots averaged into the model
+    lines = []
+    model, _ = train_synthetic("reverse_cipher", seed=0, total_steps=60, log_fn=lines.append)
+    params = np.concatenate([t.data.astype("<f4").reshape(-1) for _, t in model.params.items()])
+    assert hashlib.sha256(params.tobytes()).hexdigest()[:16] == "4f3d8e4152ab5c5f"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "0e380d38cbd54579"
+
+
+def _assert_views(params):
+    start = 0
+    for name, t in params.items():
+        n = t.data.size
+        assert np.shares_memory(t.data, params.flat), name
+        assert np.array_equal(t.data.reshape(-1), params.flat[start: start + n]), name
+        start += n
+    assert start == params.flat.size
+
+
+def test_parameters_stay_views_of_flat(tmp_path):
+    state = _tiny_state(total_steps=4)
+    model = state.model
+    _assert_views(model.params)
+    _assert_views(averaged_model(state).params)     # no snapshot yet: a copy
+    for step in range(2):
+        train_step(state, _batch_fn(step, np.random.default_rng(step)))
+    assert len(state.snapshots) == 1
+    _assert_views(model.params)
+    _assert_views(averaged_model(state).params)
+    _assert_views(model.params.astype(np.float64))
+    model.params.load_values({k: t.data + 1.0 for k, t in model.params.items()})
+    _assert_views(model.params)
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(model, path)
+    _assert_views(load_checkpoint(path)[0].params)
+    batch = _batch_fn(0, np.random.default_rng(1))
+    grad_check(lambda: loss_unrolled(model, batch, 1, np.random.default_rng(2))[0],
+               model.params, max_coords=2)
+    _assert_views(model.params)
 
 
 def test_non_finite_loss_raises():
