@@ -343,7 +343,7 @@ def _parse_argv(argv: list[str]) -> tuple[Branch, RunConfig]:
 def run(argv: list[str]) -> int:
     try:
         branch, cfg = _parse_argv(argv)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError) as e:   # ConfigError, or set_key's `finite`
         sys.stderr.write(f"error: {e}\n{USAGE}")
         return 1
     try:

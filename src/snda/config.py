@@ -2,9 +2,10 @@
 
 Nested settings use dotted keys (model.layers, train.total_steps,
 sampler.temperature), one per field of the section's config class.
-Unknown section keys and non-integer values for integer settings are
-rejected so typos fail loudly; `snda.cli` rejects any top-level key that
-the command does not read.
+Unknown section keys, non-integer values for integer settings and
+anything but a finite number for float settings are rejected so typos
+fail loudly; `snda.cli` rejects any top-level key that the command does
+not read.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from .model import ModelConfig
+from .numerics import finite
 from .sampling import SamplerConfig
 from .training import TrainConfig
 
@@ -70,6 +72,8 @@ def set_key(cfg: RunConfig, key: str, raw_value: str):
             raise ConfigError(f"unknown config key: {key!r}")
         if types[sub] in ("int", "int | None"):
             value = integer(key, value)
+        elif types[sub] == "float":
+            value = finite(key, value)
         getattr(cfg, section)[sub] = value
     else:
         cfg.top[key] = value

@@ -45,10 +45,33 @@ def _ngrams(tokens, n) -> Counter:
     return Counter(tuple(tokens[i: i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _clip_table(refs, max_order: int) -> tuple[list[dict], list[int]]:
+    """The reference side of multi-reference BLEU: per order, each n-gram's
+    largest count in any one reference, and the sorted distinct reference
+    lengths. Duplicate references cannot change either, so each distinct
+    reference is counted once."""
+    distinct = {tuple(r) for r in refs}
+    if not distinct:
+        raise ValueError("empty reference list")
+    best: list[dict] = [{} for _ in range(max_order)]
+    for ref in distinct:
+        for n, table in enumerate(best, 1):
+            for g, c in _ngrams(ref, n).items():
+                if c > table.get(g, 0):
+                    table[g] = c
+    return best, sorted({len(r) for r in distinct})
+
+
 def corpus_bleu(hypotheses: list, reference_lists: list,
                 cfg: BleuConfig | None = None) -> float:
-    """Corpus BLEU with (possibly multiple) references per hypothesis."""
+    """Corpus BLEU with (possibly multiple) references per hypothesis.
+
+    Each distinct reference-list object is counted once per call, so
+    `[refs] * k` builds one clip table for all k hypotheses."""
     cfg = cfg or BleuConfig()
+    # the clip tables are keyed by id(refs); holding every reference list
+    # for the whole call keeps those ids from being reused by another list
+    reference_lists = list(reference_lists)
     if len(hypotheses) != len(reference_lists):
         raise ValueError("hypothesis and reference counts differ")
     if not hypotheses:
@@ -57,21 +80,20 @@ def corpus_bleu(hypotheses: list, reference_lists: list,
     totals = np.zeros(cfg.max_order)
     hyp_len = 0
     ref_len = 0
+    tables: dict[int, tuple] = {}
     for hyp, refs in zip(hypotheses, reference_lists):
+        if id(refs) not in tables:
+            tables[id(refs)] = _clip_table(refs, cfg.max_order)
+        best, lengths = tables[id(refs)]
         hyp = list(hyp)
-        refs = [list(r) for r in refs]
         hyp_len += len(hyp)
         # closest reference length; ties favour the shorter
-        ref_len += min((abs(len(r) - len(hyp)), len(r)) for r in refs)[1]
-        for n in range(1, cfg.max_order + 1):
+        ref_len += min((abs(length - len(hyp)), length) for length in lengths)[1]
+        for n, table in enumerate(best, 1):
             counts = _ngrams(hyp, n)
             if not counts:
                 continue
-            best = Counter()
-            for r in refs:
-                for g, c in _ngrams(r, n).items():
-                    best[g] = max(best[g], c)
-            matches[n - 1] += sum(min(c, best[g]) for g, c in counts.items())
+            matches[n - 1] += sum(min(c, table.get(g, 0)) for g, c in counts.items())
             totals[n - 1] += sum(counts.values())
     active = totals > 0
     if not active.any():

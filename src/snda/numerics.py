@@ -11,13 +11,31 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import dataclasses
 import math
+import numbers
 
 import numpy as np
 
 
 class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required."""
+
+
+def finite(name: str, value):
+    """`value` itself if it is a finite real number (not a boolean);
+    otherwise a ValueError naming `name`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return value
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_finite_fields(cfg):
+    """`finite` on every float field of the dataclass `cfg`; the comparisons
+    in a config's own checks let NaN through."""
+    for f in dataclasses.fields(cfg):
+        if f.type == "float":
+            finite(f.name, getattr(cfg, f.name))
 
 
 def _as_array(x, dtype):

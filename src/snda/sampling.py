@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Conditioning, DenoiserModel, denoise_logits
-from .numerics import cross_entropy, log_softmax_array, no_grad, softmax_array
+from .numerics import (check_finite_fields, cross_entropy, log_softmax_array, no_grad,
+                       softmax_array)
 from .training import sample_tokens
 
 
@@ -34,6 +35,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.T < 0:
             raise ValueError("T must be >= 0")
         if self.temperature <= 0:

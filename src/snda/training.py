@@ -17,7 +17,14 @@ import numpy as np
 from .corruption import corrupt_batch
 from .data import PairBatch
 from .model import DenoiserModel, build_conditioning, denoise_logits, length_class
-from .numerics import NumericError, ParamSet, Tensor, cross_entropy, softmax_array
+from .numerics import (NumericError, ParamSet, Tensor, check_finite_fields, cross_entropy,
+                       softmax_array)
+
+# Values per AdamW slice, so that the update's temporaries stay in cache. At
+# the desk encoder-decoder layout (292,824 float32 values) the whole-array
+# update took 3.1 ms and 16,384-value slices 1.3 ms (medians of 200
+# alternating repeats on one core of a shared 2-core host), bit-identical.
+ADAM_SLICE = 16_384
 
 
 @dataclass
@@ -39,6 +46,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.unroll_terms < 1:
             raise ValueError("unroll_terms must be >= 1")
         if self.warmup_steps > self.total_steps:
@@ -137,7 +145,8 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
 
 def train_step(state: TrainState, batch) -> tuple[float, list[float]]:
     """One optimizer step: unrolled loss, then one AdamW update (Adam with
-    decoupled weight decay) of the whole flat parameter array.
+    decoupled weight decay) of the flat parameter array, ADAM_SLICE values
+    at a time.
 
     Returns the step's loss and its per-term reconstruction losses."""
     cfg = state.cfg
@@ -149,22 +158,25 @@ def train_step(state: TrainState, batch) -> tuple[float, list[float]]:
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss at step {state.step}")
     loss.backward()
-    del loss    # frees the tape before the update's full-size temporaries
+    del loss    # frees the tape before the update
 
     state.step += 1
     lr = lr_schedule(state.step, cfg)
     t = state.step
-    p, g, m, v = params.flat, params.grads(), state.m, state.v
-    m *= cfg.beta1
-    m += (1 - cfg.beta1) * g
-    v *= cfg.beta2
-    v += (1 - cfg.beta2) * g * g
-    mhat = m / (1 - cfg.beta1 ** t)
-    vhat = v / (1 - cfg.beta2 ** t)
-    p -= (lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + cfg.weight_decay * p)).astype(p.dtype)
+    flat, grads = params.flat, params.grads()
+    for lo in range(0, flat.size, ADAM_SLICE):
+        part = slice(lo, lo + ADAM_SLICE)
+        p, g, m, v = flat[part], grads[part], state.m[part], state.v[part]
+        m *= cfg.beta1
+        m += (1 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1 - cfg.beta2) * g * g
+        mhat = m / (1 - cfg.beta1 ** t)
+        vhat = v / (1 - cfg.beta2 ** t)
+        p -= (lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + cfg.weight_decay * p)).astype(p.dtype)
 
     if state.step % cfg.snapshot_interval == 0:
-        state.snapshots.append(p.copy())
+        state.snapshots.append(flat.copy())
     return value, terms
 
 

@@ -247,6 +247,24 @@ def test_integer_settings_take_integers_only(tiny_ckpts, capsys, argv, key):
     assert sorted(os.listdir(".")) == before
 
 
+@pytest.mark.parametrize("argv, key", [
+    ("sample --checkpoint lm.ckpt --count 2 --steps 3 --sampler.temperature nan",
+     "sampler.temperature"),
+    ("sample --checkpoint lm.ckpt --count 2 --steps 3 --sampler.temperature inf",
+     "sampler.temperature"),
+    ("train --task copy --v_task 6 --len_min 2 --len_max 6 --model.N 8 "
+     "--train.total_steps 2 --train.batch_size 4 --train.lr_peak nan", "train.lr_peak"),
+    ("train --task copy --v_task 6 --len_min 2 --len_max 6 --model.N 8 "
+     "--train.total_steps 2 --train.batch_size 4 --train.weight_decay -inf",
+     "train.weight_decay"),
+], ids=["temperature-nan", "temperature-inf", "lr_peak-nan", "weight_decay-inf"])
+def test_float_settings_take_finite_numbers_only(tiny_ckpts, capsys, argv, key):
+    before = sorted(os.listdir("."))
+    assert run(argv.split() + ["--out", "report.txt"]) == 1
+    assert f"error: {key} must be a finite number" in capsys.readouterr().err
+    assert sorted(os.listdir(".")) == before
+
+
 @pytest.mark.parametrize("argv, keys", [
     ("sample --checkpoint lm.ckpt --steps 2 --sampler.T 3", ("--steps", "--sampler.T")),
     ("sample --checkpoint lm.ckpt --steps 2 --seed 1 --sampler.seed 2",

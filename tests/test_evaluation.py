@@ -1,7 +1,9 @@
 """BLEU / self-BLEU oracles and the evaluation drivers."""
 
+import copy
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -97,6 +99,64 @@ def test_bleu_bounded(h):
     assert score == pytest.approx(100.0)
     other = [["z"] * len(x) for x in h]
     assert 0.0 <= bleu(h, other) <= 100.0
+
+
+@st.composite
+def _bleu_case(draw):
+    """(hypotheses, references, max_order) over str or int tokens, with
+    duplicate references and references and hypotheses shorter than
+    max_order."""
+    tokens = draw(st.sampled_from(["abc", [1, 2, 3], [0, 1]]))
+    seq = st.lists(st.sampled_from(tokens), max_size=6)
+    refs = draw(st.lists(seq, min_size=1, max_size=5))
+    refs += [copy.copy(refs[i]) for i in draw(st.lists(st.integers(0, len(refs) - 1),
+                                                       max_size=3))]
+    hyps = draw(st.lists(seq, min_size=1, max_size=4))
+    return hyps, refs, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bleu_case())
+def test_shared_reference_list_scores_like_separate_copies(case):
+    hyps, refs, order = case
+    cfg = BleuConfig(max_order=order)
+    shared = corpus_bleu(hyps, [refs] * len(hyps), cfg)
+    assert shared == corpus_bleu(hyps, [copy.deepcopy(refs) for _ in hyps], cfg)
+
+
+def test_generated_reference_lists_score_like_a_list():
+    # corpus_bleu keys its clip tables by id(refs), so it must keep each
+    # reference list alive for the whole call: a one-reference list freed
+    # after its pair could hand its address, and its table, to a later list
+    class Refs(list):   # a list that takes weak references
+        pass
+
+    def one_reference_lists():
+        earlier = []
+        for h in hyps:
+            assert all(ref() is not None for ref in earlier), "reference list freed mid-call"
+            refs = Refs([list(h)])
+            earlier.append(weakref.ref(refs))
+            yield refs
+
+    hyps = [list(w) for w in ("abcd", "efgh", "ijkl", "mnop", "qrst", "uvwx")]
+    expected = corpus_bleu(hyps, [[h] for h in hyps])
+    assert expected == pytest.approx(100.0)
+    assert corpus_bleu(hyps, one_reference_lists()) == expected
+    with pytest.raises(ValueError, match="counts differ"):
+        corpus_bleu(hyps, ([h] for h in hyps[:3]))
+
+
+def test_quality_diversity_curve_is_pinned(tiny_model):
+    # digest taken with every reference counted again for each hypothesis;
+    # counting each reference set once must not move any score
+    rng = np.random.default_rng(9)
+    refs = [rng.integers(2, 8, size=int(rng.integers(1, 9))).tolist() for _ in range(60)]
+    refs += refs[:20]
+    pts = quality_diversity_curve(tiny_model, [0.3, 1.0, 2.0], 8, refs,
+                                  sampler_cfg=SamplerConfig(T=6, update_fraction=0.5), seed=2)
+    text = ";".join(f"{p.temperature!r},{p.quality_bleu!r},{p.self_bleu!r}" for p in pts)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "dc12bb3e961dc06c"
 
 
 def test_strip_pad():

@@ -26,6 +26,10 @@ def test_sampler_config_validation():
         SamplerConfig(update_fraction=0.0)
     with pytest.raises(ValueError):
         SamplerConfig(rerank_width=0)
+    for field in ("temperature", "update_fraction", "uncertain_share"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+                SamplerConfig(schedule="triangular", **{field: value})
 
 
 @settings(max_examples=60, deadline=None)

@@ -33,7 +33,9 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("snapshot_interval", 0), ("snapshot_interval", -1),
     ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", -0.1),
-])
+] + [(field, value) for field in ("lr_start", "lr_peak", "lr_min", "label_smoothing",
+                                  "weight_decay", "beta1", "beta2", "adam_eps")
+     for value in (math.nan, math.inf, -math.inf)])
 def test_config_rejects_values_the_loop_cannot_run(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(total_steps=3, warmup_steps=1, **{field: value})
