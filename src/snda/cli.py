@@ -11,7 +11,8 @@ from typing import Callable
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, integer, parse_config_file, set_key
+from .config import (ConfigError, RunConfig, integer, numbers, parse_config_file,
+                     set_key)
 from .data import PAD, Vocab, encode, decode, load_corpus, TokenSeq
 from .evaluation import draw_samples, exact_match, quality_diversity_curve, strip_pad, translate
 from .experiments import (ABLATION_SAMPLER, ablation_report, bench_report,
@@ -170,13 +171,13 @@ def cmd_eval_task(cfg: RunConfig) -> int:
 
 
 def cmd_eval_corpus(cfg: RunConfig) -> int:
+    temps = numbers("temps", _require(cfg, "temps"))
     model = _load_model(cfg)
     scfg = _sampler_cfg(cfg)
     corpus_path = _require(cfg, "corpus")
     vocab = _load_vocab(cfg)
     refs = [enc.ids[: enc.content_len].tolist()
             for enc in load_corpus(corpus_path, vocab, model.config.N)]
-    temps = [float(t) for t in str(_require(cfg, "temps")).split(",")]
     points = quality_diversity_curve(model, temps, _int(cfg, "count", 50),
                                      refs, sampler_cfg=scfg, seed=_int(cfg, "seed", 0))
     _emit(cfg, [f"variant=tau{p.temperature} metric=quality_bleu value={p.quality_bleu:.6f}"

@@ -2,10 +2,10 @@
 
 Nested settings use dotted keys (model.layers, train.total_steps,
 sampler.temperature), one per field of the section's config class.
-Unknown section keys, non-integer values for integer settings and
-anything but a finite number for float settings are rejected so typos
-fail loudly; `snda.cli` rejects any top-level key that the command does
-not read.
+Unknown section keys, non-integer values for integer settings, anything
+but a finite number for float settings and anything but true or false for
+boolean settings are rejected so typos fail loudly; `snda.cli` rejects
+any top-level key that the command does not read.
 """
 
 from __future__ import annotations
@@ -61,6 +61,14 @@ def integer(key: str, value) -> int:
     return value
 
 
+def numbers(key: str, value) -> list:
+    """The comma-separated setting `key` as a list of finite floats."""
+    try:
+        return [float(finite(key, _convert(part))) for part in str(value).split(",")]
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def set_key(cfg: RunConfig, key: str, raw_value: str):
     value = _convert(raw_value)
     if "." in key:
@@ -74,6 +82,8 @@ def set_key(cfg: RunConfig, key: str, raw_value: str):
             value = integer(key, value)
         elif types[sub] == "float":
             value = finite(key, value)
+        elif types[sub] == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, got {value!r}")
         getattr(cfg, section)[sub] = value
     else:
         cfg.top[key] = value

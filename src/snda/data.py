@@ -1,10 +1,10 @@
 """Tokenization, corpora, batching, and synthetic sequence-to-sequence tasks.
 
-Character-level vocabularies serve unconditional corpora; a small word
-vocabulary serves templates and quality/diversity evaluation. Synthetic
-tasks (copy, reverse_cipher) stand in for real translation data: both are
-deterministic functions of the source, so chain sampling can be scored by
-exact match.
+Character-level vocabularies serve unconditional corpora and their
+quality/diversity curves; a word vocabulary (whitespace tokens) serves
+word-level inpainting templates. Synthetic tasks (copy, reverse_cipher)
+stand in for real translation data: both are deterministic functions of
+the source, so chain sampling can be scored by exact match.
 """
 
 from __future__ import annotations

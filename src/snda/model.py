@@ -45,6 +45,8 @@ class ModelConfig:
             raise ValueError("d_model must be divisible by heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.N_source is None:
             self.N_source = self.N
 
@@ -160,7 +162,9 @@ def _linear(p: ParamSet, name: str, x: Tensor) -> Tensor:
 
 
 def _attention(p: ParamSet, name: str, x: Tensor, mem: Tensor, heads: int,
-               key_mask: np.ndarray | None, causal: bool = False) -> Tensor:
+               mask: np.ndarray | None) -> Tensor:
+    """Multi-head attention of x over mem; `mask` (bool, True = attended)
+    broadcasts against the [B, heads, Tq, Tk] scores."""
     B, Tq, d = x.shape
     Tk = mem.shape[1]
     hd = d // heads
@@ -172,14 +176,8 @@ def _attention(p: ParamSet, name: str, x: Tensor, mem: Tensor, heads: int,
     k = split(mem @ p[f"{name}.wk"], Tk)
     v = split(mem @ p[f"{name}.wv"], Tk)
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(hd))
-    bias = None
-    if key_mask is not None:
-        bias = np.where(key_mask[:, None, None, :], 0.0, NEG_INF)
-    if causal:
-        tri = np.where(np.tril(np.ones((Tq, Tk), dtype=bool)), 0.0, NEG_INF)
-        bias = tri if bias is None else bias + tri
-    if bias is not None:
-        scores = scores + Tensor(bias.astype(x.dtype))
+    if mask is not None:
+        scores = scores + Tensor(np.where(mask, 0.0, NEG_INF).astype(x.dtype))
     w = softmax(scores, 1.0)
     out = (w @ v).transpose(0, 2, 1, 3).reshape(B, Tq, d)
     return out @ p[f"{name}.wo"] + p[f"{name}.bo"]
@@ -198,14 +196,14 @@ def _maybe_drop(x: Tensor, rate: float, train: bool, rng) -> Tensor:
 
 
 def _stack(model: DenoiserModel, prefix: str, x: Tensor, self_mask,
-           cond: Conditioning | None, train: bool, rng, causal: bool) -> Tensor:
+           cond: Conditioning | None, train: bool, rng) -> Tensor:
     cfg, p = model.config, model.params
     rate = cfg.dropout
     for i in range(cfg.layers):
         name = f"{prefix}{i}"
         h = layer_norm(x, p[f"{name}.ln1.g"], p[f"{name}.ln1.b"])
         x = x + _maybe_drop(
-            _attention(p, f"{name}.self", h, h, cfg.heads, self_mask, causal),
+            _attention(p, f"{name}.self", h, h, cfg.heads, self_mask),
             rate, train, rng)
         if cond is not None:
             # Each layer reads the memory through its own view, so backward
@@ -216,7 +214,8 @@ def _stack(model: DenoiserModel, prefix: str, x: Tensor, self_mask,
             mem = cond.memory.reshape(cond.memory.shape)
             h = layer_norm(x, p[f"{name}.lnx.g"], p[f"{name}.lnx.b"])
             x = x + _maybe_drop(
-                _attention(p, f"{name}.cross", h, mem, cfg.heads, cond.key_mask),
+                _attention(p, f"{name}.cross", h, mem, cfg.heads,
+                           cond.key_mask[:, None, None, :]),
                 rate, train, rng)
         h = layer_norm(x, p[f"{name}.ln2.g"], p[f"{name}.ln2.b"])
         x = x + _maybe_drop(_ffn(p, name, h), rate, train, rng)
@@ -224,21 +223,21 @@ def _stack(model: DenoiserModel, prefix: str, x: Tensor, self_mask,
 
 
 def _transformer(model: DenoiserModel, prefix: str, ids: np.ndarray, pos_emb: str,
-                 self_mask, cond: Conditioning | None, train: bool, rng,
-                 causal: bool = False) -> Tensor:
+                 self_mask, cond: Conditioning | None, train: bool, rng) -> Tensor:
     """Token + position embedding, the `prefix` layer stack and its final
     layer norm: the decoder ("dec") or the source encoder ("enc")."""
     p = model.params
     h = embedding(p["tok_emb"], ids) + p[pos_emb]
     h = _maybe_drop(h, model.config.dropout, train, rng)
-    h = _stack(model, prefix, h, self_mask, cond, train, rng, causal)
+    h = _stack(model, prefix, h, self_mask, cond, train, rng)
     return layer_norm(h, p[f"{prefix}_ln.g"], p[f"{prefix}_ln.b"])
 
 
 def denoise_logits(model: DenoiserModel, x, cond: Conditioning | None = None,
                    train_mode: bool = False, rng: np.random.Generator | None = None,
                    causal: bool = False) -> Tensor:
-    """Full [*, N, v] logits for input token ids [*, N]."""
+    """Full [*, N, v] logits for input token ids [*, N]. `causal` lets each
+    position attend only to itself and earlier ones (bench's greedy baseline)."""
     cfg = model.config
     ids = np.asarray(x, dtype=np.int64)
     single = ids.ndim == 1
@@ -248,7 +247,8 @@ def denoise_logits(model: DenoiserModel, x, cond: Conditioning | None = None,
         raise ValueError(f"expected sequence length {cfg.N}, got {ids.shape[1]}")
     if cfg.mode == "encoder_decoder" and cond is None:
         raise ValueError("encoder_decoder mode requires conditioning")
-    h = _transformer(model, "dec", ids, "pos_emb", None, cond, train_mode, rng, causal)
+    self_mask = np.tril(np.ones((cfg.N, cfg.N), dtype=bool)) if causal else None
+    h = _transformer(model, "dec", ids, "pos_emb", self_mask, cond, train_mode, rng)
     logits = _linear(model.params, "head", h)
     return logits.reshape(cfg.N, cfg.v) if single else logits
 
@@ -289,7 +289,8 @@ def build_conditioning(model: DenoiserModel, src, src_lens, target_length=None,
     if lens.min() < 1 or lens.max() > cfg.N_source:
         raise ValueError(f"source length out of range [1, {cfg.N_source}]")
     mask = np.arange(cfg.N_source)[None, :] < lens[:, None]
-    enc = _transformer(model, "enc", ids, "src_pos_emb", mask, None, train_mode, rng)
+    enc = _transformer(model, "enc", ids, "src_pos_emb", mask[:, None, None, :], None,
+                       train_mode, rng)
     logits = _length_logits(model, enc.data, lens, mask)
     if target_length is None:
         cls = softmax_array(logits.data, 1.0).argmax(axis=-1)

@@ -36,6 +36,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         check_finite_fields(self)
+        if not isinstance(self.early_stop, bool):
+            raise ValueError(f"early_stop must be true or false, got {self.early_stop!r}")
         if self.T < 0:
             raise ValueError("T must be >= 0")
         if self.temperature <= 0:

@@ -1,5 +1,8 @@
 """Binary checkpoint format: bit-exact round trips and corruption errors."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -106,3 +109,64 @@ def test_oversized_header_rejected_before_allocation(tiny_model, tmp_path, monke
         load_checkpoint(hostile)
     loaded, _, _ = load_checkpoint(path)  # a sound file still loads without init_model
     assert np.array_equal(loaded.params["tok_emb"].data, tiny_model.params["tok_emb"].data)
+
+
+def _edit_metadata(path, out, edit):
+    """Write to `out` the checkpoint at `path` with its metadata passed
+    through `edit` and the parameter block unchanged."""
+    raw = open(path, "rb").read()
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16:16 + meta_len])
+    edit(meta)
+    new = json.dumps(meta, sort_keys=True).encode("utf-8")
+    open(out, "wb").write(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + meta_len:])
+
+
+def _swap_first_two(meta):
+    layout = meta["layout"]
+    layout[0][0], layout[1][0] = layout[1][0], layout[0][0]
+
+
+def _transpose_first(meta):
+    meta["layout"][0][1].reverse()
+
+
+def _drop_layout(meta):
+    del meta["layout"]
+
+
+@pytest.mark.parametrize("edit", [_swap_first_two, _transpose_first, _drop_layout],
+                         ids=["swapped-names", "changed-shape", "no-layout"])
+def test_layout_that_differs_from_config_rejected(tiny_model, tmp_path, edit):
+    path, bad = str(tmp_path / "m.ckpt"), str(tmp_path / "bad.ckpt")
+    save_checkpoint(tiny_model, path)
+    _edit_metadata(path, bad, edit)  # the parameter block keeps its size
+    with pytest.raises(CheckpointError, match="layout"):
+        load_checkpoint(bad)
+
+
+def test_version_2_refused(tiny_model, tmp_path):
+    path, old = str(tmp_path / "m.ckpt"), str(tmp_path / "v2.ckpt")
+    save_checkpoint(tiny_model, path)
+    raw = open(path, "rb").read()
+    open(old, "wb").write(MAGIC + (2).to_bytes(4, "little") + raw[8:])
+    with pytest.raises(CheckpointError, match="version 2"):
+        load_checkpoint(old)
+
+
+@pytest.mark.parametrize("n", [0, 3, 4, 8, 15])
+def test_file_shorter_than_header_rejected(tiny_model, tmp_path, n):
+    path, short = str(tmp_path / "m.ckpt"), str(tmp_path / "short.ckpt")
+    save_checkpoint(tiny_model, path)
+    open(short, "wb").write(open(path, "rb").read()[:n])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(short)
+
+
+@pytest.mark.parametrize("dtype", ["float16", "int32"])
+def test_metadata_dtype_the_tape_cannot_hold_rejected(tiny_model, tmp_path, dtype):
+    path, bad = str(tmp_path / "m.ckpt"), str(tmp_path / "bad.ckpt")
+    save_checkpoint(tiny_model, path)
+    _edit_metadata(path, bad, lambda meta: meta["model_config"].update(dtype=dtype))
+    with pytest.raises(CheckpointError, match="dtype"):
+        load_checkpoint(bad)

@@ -265,6 +265,32 @@ def test_float_settings_take_finite_numbers_only(tiny_ckpts, capsys, argv, key):
     assert sorted(os.listdir(".")) == before
 
 
+@pytest.mark.parametrize("value", ["no", "1"])
+def test_bool_settings_take_booleans_only(tiny_ckpts, capsys, value):
+    before = sorted(os.listdir("."))
+    argv = f"sample --checkpoint lm.ckpt --steps 1 --sampler.early_stop {value} --out report.txt"
+    assert run(argv.split()) == 1
+    assert "error: sampler.early_stop must be true or false" in capsys.readouterr().err
+    assert sorted(os.listdir(".")) == before
+
+
+@pytest.mark.parametrize("temps", ["0.5,nan", "a,b", "0.5,inf", "true"])
+def test_temps_take_finite_numbers_only(tiny_ckpts, capsys, temps):
+    before = sorted(os.listdir("."))
+    argv = f"eval --checkpoint lm.ckpt --corpus corpus.txt --temps {temps} --count 2 --steps 1"
+    assert run(argv.split() + ["--out", "report.txt"]) == 1
+    assert "error: temps must be a finite number" in capsys.readouterr().err
+    assert sorted(os.listdir(".")) == before
+
+
+@pytest.mark.parametrize("dtype", ["float16", "banana", "int32"])
+def test_train_rejects_dtype_the_tape_cannot_hold(in_tmp, capsys, dtype):
+    assert run(TRAIN_TASK + ["--model.dtype", dtype]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "dtype" in err
+    assert os.listdir(".") == []
+
+
 @pytest.mark.parametrize("argv, keys", [
     ("sample --checkpoint lm.ckpt --steps 2 --sampler.T 3", ("--steps", "--sampler.T")),
     ("sample --checkpoint lm.ckpt --steps 2 --seed 1 --sampler.seed 2",

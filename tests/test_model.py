@@ -15,6 +15,11 @@ def test_config_validation():
         ModelConfig(v=8, N=8, d_model=30, heads=4)
     with pytest.raises(ValueError):
         ModelConfig(v=8, N=8, mode="decoder_only")
+    # the tape holds float32 and float64 only; any other dtype would cut
+    # the parameters off ParamSet.flat
+    for dtype in ("float16", "int32", "banana", "float128"):
+        with pytest.raises(ValueError, match="dtype"):
+            ModelConfig(v=8, N=8, dtype=dtype)
     cfg = ModelConfig(v=8, N=10, length_downsample=3)
     assert cfg.N_source == 10
     assert cfg.N_d == 4

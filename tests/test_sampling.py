@@ -26,6 +26,9 @@ def test_sampler_config_validation():
         SamplerConfig(update_fraction=0.0)
     with pytest.raises(ValueError):
         SamplerConfig(rerank_width=0)
+    for value in ("no", "false", 0, 1, None):
+        with pytest.raises(ValueError, match="early_stop must be true or false"):
+            SamplerConfig(early_stop=value)
     for field in ("temperature", "update_fraction", "uncertain_share"):
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{field} must be a finite number"):
