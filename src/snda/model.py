@@ -14,10 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import (ParamSet, Tensor, concat, dropout, embedding,
-                       layer_norm, softmax, softmax_array)
-
-NEG_INF = -1e9
+from .numerics import (ParamSet, Tensor, attention, concat, dropout, embedding,
+                       ffn, layer_norm, linear, softmax_array)
 
 
 @dataclass
@@ -158,33 +156,20 @@ def init_model(config: ModelConfig, rng: np.random.Generator | int) -> DenoiserM
 
 
 def _linear(p: ParamSet, name: str, x: Tensor) -> Tensor:
-    return x @ p[f"{name}.w"] + p[f"{name}.b"]
+    return linear(x, p[f"{name}.w"], p[f"{name}.b"])
 
 
 def _attention(p: ParamSet, name: str, x: Tensor, mem: Tensor, heads: int,
                mask: np.ndarray | None) -> Tensor:
-    """Multi-head attention of x over mem; `mask` (bool, True = attended)
-    broadcasts against the [B, heads, Tq, Tk] scores."""
-    B, Tq, d = x.shape
-    Tk = mem.shape[1]
-    hd = d // heads
-
-    def split(t, T):
-        return t.reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
-
-    q = split(x @ p[f"{name}.wq"], Tq)
-    k = split(mem @ p[f"{name}.wk"], Tk)
-    v = split(mem @ p[f"{name}.wv"], Tk)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(hd))
-    if mask is not None:
-        scores = scores + Tensor(np.where(mask, 0.0, NEG_INF).astype(x.dtype))
-    w = softmax(scores, 1.0)
-    out = (w @ v).transpose(0, 2, 1, 3).reshape(B, Tq, d)
-    return out @ p[f"{name}.wo"] + p[f"{name}.bo"]
+    """Multi-head attention of x over mem, one tape node; `mask` (bool,
+    True = attended) broadcasts against the [B, heads, Tq, Tk] scores."""
+    return attention(x, mem, *(p[f"{name}.{part}"] for part in ("wq", "wk", "wv", "wo", "bo")),
+                     heads, mask)
 
 
-def _ffn(p: ParamSet, name: str, x: Tensor) -> Tensor:
-    return _linear(p, f"{name}.ff2", _linear(p, f"{name}.ff1", x).relu())
+def _ffn(p: ParamSet, first: str, second: str, x: Tensor) -> Tensor:
+    """The linear layers `first` and `second` with a ReLU between, one tape node."""
+    return ffn(x, p[f"{first}.w"], p[f"{first}.b"], p[f"{second}.w"], p[f"{second}.b"])
 
 
 def _maybe_drop(x: Tensor, rate: float, train: bool, rng) -> Tensor:
@@ -218,7 +203,7 @@ def _stack(model: DenoiserModel, prefix: str, x: Tensor, self_mask,
                            cond.key_mask[:, None, None, :]),
                 rate, train, rng)
         h = layer_norm(x, p[f"{name}.ln2.g"], p[f"{name}.ln2.b"])
-        x = x + _maybe_drop(_ffn(p, name, h), rate, train, rng)
+        x = x + _maybe_drop(_ffn(p, f"{name}.ff1", f"{name}.ff2", h), rate, train, rng)
     return x
 
 
@@ -263,7 +248,7 @@ def _length_logits(model: DenoiserModel, enc: np.ndarray, lens: np.ndarray,
         (1.0 / lens).astype(enc.dtype).reshape(-1, 1))
     h = _linear(p, "lp.pool", Tensor(pooled)) + embedding(p["lp.srclen"], lens - 1)
     for i in range(6):
-        h = h + _linear(p, f"lp.block{i}.fc2", _linear(p, f"lp.block{i}.fc1", h).relu())
+        h = h + _ffn(p, f"lp.block{i}.fc1", f"lp.block{i}.fc2", h)
     return _linear(p, "lp.head", h)
 
 

@@ -1,10 +1,14 @@
 """Dense arrays with reverse-mode differentiation.
 
-Just enough machinery for a small non-causal transformer: matmul,
-elementwise ops, softmax, layer norm, embedding gather/scatter,
-cross-entropy. Values are numpy arrays (float32 for training, float64
-allowed in tests and oracles); gradients are accumulated by walking the
-tape in reverse topological order.
+Just enough machinery for a small non-causal transformer: elementwise
+ops, matmul, layer norm, embedding gather/scatter, cross-entropy, and
+three whole-sublayer ops that each record one tape node with an analytic
+backward: `linear` (x @ W + b), `ffn` (linear, ReLU, linear) and
+`attention` (multi-head attention with its projections). Their weight
+products run as 2-D GEMMs over every row of the batch at once, so a
+weight gradient is one xᵀg product. Values are numpy arrays (float32 for
+training, float64 allowed in tests and oracles); gradients are
+accumulated by walking the tape in reverse topological order.
 """
 
 from __future__ import annotations
@@ -91,9 +95,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
@@ -172,13 +173,6 @@ class Tensor:
         out = _make(self.data.reshape(shape), (self,))
         if out.requires_grad:
             out._backward = lambda g: self._accumulate(g.reshape(self.data.shape))
-        return out
-
-    def transpose(self, *axes):
-        out = _make(np.transpose(self.data, axes), (self,))
-        if out.requires_grad:
-            inv = np.argsort(axes)
-            out._backward = lambda g: self._accumulate(np.transpose(g, inv))
         return out
 
     def sum(self, axis=None, keepdims=False):
@@ -280,18 +274,6 @@ def softmax_array(logits: np.ndarray, temperature: float = 1.0, axis: int = -1) 
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax(logits: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
-    """Softmax over the last axis with temperature; Tensor in, Tensor out."""
-    p = softmax_array(logits.data, temperature, axis)
-    out = _make(p, (logits,))
-    if out.requires_grad:
-        def bwd(g):
-            dot = (g * p).sum(axis=axis, keepdims=True)
-            logits._accumulate((g - dot) * p / temperature)
-        out._backward = bwd
-    return out
-
-
 def log_softmax_array(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     z = logits - logits.max(axis=axis, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
@@ -343,6 +325,122 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     return x * Tensor(keep)
 
 
+# ---- whole sublayers, one node each ---------------------------------
+
+NEG_INF = -1e9
+
+
+def _rows(t: Tensor) -> np.ndarray:
+    """t's values as a [rows, features] array."""
+    return t.data.reshape(-1, t.data.shape[-1])
+
+
+def _linear_grads(x2: np.ndarray, w: Tensor, b: Tensor | None, g2: np.ndarray,
+                  need_x: bool) -> np.ndarray | None:
+    """Accumulate the gradients of w (and b) in x2 @ w (+ b) for the output
+    gradient g2 [rows, n]: one x2ᵀg2 GEMM and one row sum. Returns x2's
+    gradient, or None unless need_x."""
+    if w.requires_grad:
+        w._accumulate(x2.T @ g2)
+    if b is not None and b.requires_grad:
+        b._accumulate(g2.sum(axis=0))
+    return g2 @ w.data.T if need_x else None
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x[..., k] @ w[k, n] + b[n], one GEMM over every row of x."""
+    x2 = _rows(x)
+    y = x2 @ w.data
+    y += b.data
+    out = _make(y.reshape(x.shape[:-1] + y.shape[-1:]), (x, w, b))
+    if out.requires_grad:
+        def bwd(g):
+            gx = _linear_grads(x2, w, b, g.reshape(y.shape), x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx.reshape(x.shape))
+        out._backward = bwd
+    return out
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2; backward keeps only x and the hidden
+    activations."""
+    x2 = _rows(x)
+    h = x2 @ w1.data
+    h += b1.data
+    np.maximum(h, 0, out=h)
+    y = h @ w2.data
+    y += b2.data
+    out = _make(y.reshape(x.shape[:-1] + y.shape[-1:]), (x, w1, b1, w2, b2))
+    if out.requires_grad:
+        def bwd(g):
+            gh = _linear_grads(h, w2, b2, g.reshape(y.shape), True)
+            gh *= h > 0
+            gx = _linear_grads(x2, w1, b1, gh, x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx.reshape(x.shape))
+        out._backward = bwd
+    return out
+
+
+def attention(x: Tensor, mem: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+              wo: Tensor, bo: Tensor, heads: int, mask: np.ndarray | None) -> Tensor:
+    """Multi-head attention of x [B, Tq, d] over mem [B, Tk, d]: the q/k/v
+    projections, the head split, the scaled softmax over the keys `mask`
+    leaves (bool, True = attended, broadcast against the [B, heads, Tq, Tk]
+    scores), the head merge and the output projection wo, bo.
+
+    Self-attention passes the same Tensor as x and mem; its gradient is
+    then summed over the query, key and value paths and accumulated once.
+    """
+    B, Tq, d = x.shape
+    Tk = mem.shape[1]
+    hd = d // heads
+    self_attn = mem is x
+    x2, m2 = _rows(x), _rows(mem)
+
+    def split(t2, T):       # [B*T, d] -> [B, heads, T, hd]
+        return t2.reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(t, T):        # [B, heads, T, hd] -> [B*T, d]
+        return t.transpose(0, 2, 1, 3).reshape(B * T, d)
+
+    q = split(x2 @ wq.data, Tq)
+    k = split(m2 @ wk.data, Tk)
+    v = split(m2 @ wv.data, Tk)
+    scale = x.dtype.type(1.0 / math.sqrt(hd))
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= scale
+    if mask is not None:
+        scores += np.where(mask, 0.0, NEG_INF).astype(x.dtype)
+    p = softmax_array(scores, 1.0)
+    o2 = merge(p @ v, Tq)
+    y = o2 @ wo.data
+    y += bo.data
+    inputs = (x,) if self_attn else (x, mem)
+    out = _make(y.reshape(B, Tq, d), inputs + (wq, wk, wv, wo, bo))
+    if out.requires_grad:
+        def bwd(g):
+            go = split(_linear_grads(o2, wo, bo, g.reshape(y.shape), True), Tq)
+            gp = go @ v.transpose(0, 1, 3, 2)
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            gs *= scale
+            need_m = mem.requires_grad
+            gx = _linear_grads(x2, wq, None, merge(gs @ k, Tq), x.requires_grad)
+            gk = _linear_grads(m2, wk, None, merge(gs.transpose(0, 1, 3, 2) @ q, Tk), need_m)
+            gv = _linear_grads(m2, wv, None, merge(p.transpose(0, 1, 3, 2) @ go, Tk), need_m)
+            if need_m:
+                gk += gv
+                if self_attn:
+                    gx += gk
+                else:
+                    mem._accumulate(gk.reshape(mem.shape))
+            if gx is not None:
+                x._accumulate(gx.reshape(x.shape))
+        out._backward = bwd
+    return out
+
+
 class ParamSet:
     """Named parameter Tensors, each a view of its slice of one flat array.
 
@@ -353,6 +451,8 @@ class ParamSet:
     """
 
     def __init__(self, layout, flat: np.ndarray):
+        if flat.dtype not in (np.float32, np.float64):
+            raise ValueError(f"flat must be float32 or float64, got {flat.dtype}")
         self.layout = [(name, tuple(shape)) for name, shape, *_ in layout]
         sizes = [math.prod(shape) for _, shape in self.layout]
         if flat.shape != (sum(sizes),):

@@ -7,7 +7,8 @@ import pytest
 
 from snda.model import (ModelConfig, build_conditioning, denoise_logits,
                         init_model, length_class)
-from snda.numerics import softmax_array
+from snda.numerics import (Tensor, attention, concat, ffn, grad_check, linear,
+                           softmax_array)
 
 
 def test_config_validation():
@@ -163,3 +164,75 @@ def test_astype_round_trip(tiny_model):
     a = denoise_logits(tiny_model, x).data
     b = denoise_logits(m64, x).data
     assert np.allclose(a, b, atol=1e-5)
+
+
+# ---- the sublayer nodes against float64 finite differences ------------
+# Each loss squares the node's output so that every output gets its own
+# gradient; the tolerance is criterion 01's float64 one.
+
+def _node_check(build_loss, shapes, seed=0):
+    rng = np.random.default_rng(seed)
+    params = {name: Tensor(0.5 * rng.standard_normal(shape), requires_grad=True)
+              for name, shape in shapes.items()}
+    assert grad_check(lambda: build_loss(params), params, step=1e-5, full=True) <= 1e-6
+
+
+_ATTN = {"wq": (4, 4), "wk": (4, 4), "wv": (4, 4), "wo": (4, 4), "bo": (4,)}
+
+
+def _attend(p, x, mem, mask):
+    return attention(x, mem, p["wq"], p["wk"], p["wv"], p["wo"], p["bo"], 2, mask)
+
+
+def test_self_attention_node_grads():
+    # x is query, key and value at once: its gradient sums all three paths
+    def loss(p):
+        y = _attend(p, p["x"], p["x"], None)
+        return (y * y).sum()
+    _node_check(loss, {"x": (2, 3, 4), **_ATTN})
+
+
+def test_causal_self_attention_node_grads():
+    causal = np.tril(np.ones((3, 3), dtype=bool))
+
+    def loss(p):
+        y = _attend(p, p["x"], p["x"], causal)
+        return (y * y).sum()
+    _node_check(loss, {"x": (2, 3, 4), **_ATTN})
+
+
+def test_cross_attention_node_grads_with_padded_keys():
+    # the memory is built as build_conditioning and _stack build it: a
+    # length row concatenated before the encodings, read through a view
+    key_mask = np.array([[True, True, True, False], [True, True, False, False]])
+
+    def loss(p):
+        memory = concat([p["len"], p["enc"]], axis=1)
+        y = _attend(p, p["x"], memory.reshape(memory.shape), key_mask[:, None, None, :])
+        return (y * y).sum()
+    _node_check(loss, {"x": (2, 2, 4), "len": (2, 1, 4), "enc": (2, 3, 4), **_ATTN})
+
+    # what stands in a padded key reaches neither the output nor a gradient
+    rng = np.random.default_rng(1)
+    p = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in _ATTN.items()}
+    x = Tensor(rng.standard_normal((2, 2, 4)))
+    mem = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
+    y = _attend(p, x, mem, key_mask[:, None, None, :])
+    (y * y).sum().backward()
+    assert np.all(mem.grad[~key_mask] == 0) and np.all(mem.grad[key_mask] != 0)
+    mem.data[~key_mask] += 5.0
+    assert np.allclose(_attend(p, x, mem, key_mask[:, None, None, :]).data, y.data)
+
+
+def test_ffn_node_grads():
+    def loss(p):
+        y = ffn(p["x"], p["w1"], p["b1"], p["w2"], p["b2"])
+        return (y * y).sum()
+    _node_check(loss, {"x": (2, 3, 4), "w1": (4, 6), "b1": (6,), "w2": (6, 4), "b2": (4,)})
+
+
+def test_linear_node_grads():
+    def loss(p):
+        y = linear(p["x"], p["w"], p["b"])
+        return (y * y).sum()
+    _node_check(loss, {"x": (2, 3, 4), "w": (4, 5), "b": (5,)})

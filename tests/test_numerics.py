@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snda.numerics import (NumericError, ParamSet, Tensor, concat,
-                           cross_entropy, dropout, embedding, grad_check,
-                           layer_norm, log_softmax_array, no_grad, softmax,
-                           softmax_array)
+from snda.numerics import (NumericError, ParamSet, Tensor, cross_entropy,
+                           dropout, embedding, grad_check, layer_norm,
+                           log_softmax_array, no_grad, softmax_array)
 
 
 def _check(build_loss, shapes, seed=0, tol=1e-6):
@@ -25,13 +24,6 @@ def test_add_mul_matmul_grads():
 
 def test_broadcast_add_grads():
     _check(lambda p: (p["a"] + p["b"]).sum(), {"a": (4, 3), "b": (3,)})
-
-
-def test_reshape_transpose_concat_grads():
-    def loss(p):
-        x = concat([p["a"].reshape(2, 6), p["b"].transpose(1, 0)], axis=0)
-        return (x * x).sum()
-    _check(loss, {"a": (3, 4), "b": (6, 3)})
 
 
 def test_relu_grads():
@@ -60,11 +52,6 @@ def test_embedding_grads_and_scatter():
     # repeated ids accumulate into the same row
     assert np.allclose(w.grad[1], 2 * (w.data[1] + w.data[1]))
     assert np.allclose(w.grad[0], 0)
-
-
-def test_softmax_tensor_grads():
-    _check(lambda p: (softmax(p["a"]) * np.arange(4.0)).sum(),
-           {"a": (3, 4)}, tol=1e-5)
 
 
 def test_cross_entropy_matches_manual():
@@ -142,6 +129,17 @@ def test_paramset_rejects_duplicates_and_counts():
     assert np.array_equal(p["b"].data, [6.0, 7.0, 8.0, 9.0])
     p["a"].grad = np.ones((2, 3))
     assert np.array_equal(p.grads(), [1.0] * 6 + [0.0] * 4)
+
+
+def test_paramset_rejects_dtypes_the_tape_cannot_hold():
+    # Tensor would hold a float32 copy of each view, cut off from flat
+    for dtype in (np.float16, np.int32):
+        with pytest.raises(ValueError, match="float32 or float64"):
+            ParamSet([("w", (2, 2))], np.zeros(4, dtype))
+    for dtype in (np.float32, np.float64):
+        p = ParamSet([("w", (2, 2))], np.zeros(4, dtype))
+        p["w"].data[...] = 1
+        assert np.array_equal(p.flat, np.ones(4))
 
 
 def test_backward_accumulates_through_shared_nodes():

@@ -124,8 +124,9 @@ def test_conditional_loss_is_pinned(tiny_encdec):
 
 def test_conditional_gradients_are_pinned():
     # two decoder layers read the cross-attention memory; its gradient sums
-    # each layer's key and value gradients before adding the layers, the
-    # float order that seeded training was pinned in
+    # each layer's key and value gradients before adding the layers, and
+    # every weight gradient sums over the batch and the heads inside one
+    # GEMM: the float order that seeded training was pinned in
     cfg = ModelConfig(v=8, N=8, layers=2, d_model=16, heads=2, d_ff=32,
                       dropout=0.0, mode="encoder_decoder", d_LP=16)
     model = perturb(init_model(cfg, np.random.default_rng(7)))
@@ -135,7 +136,7 @@ def test_conditional_gradients_are_pinned():
     h = hashlib.sha256()
     for _, t in model.params.items():
         h.update(t.grad.astype("<f4").tobytes())
-    assert h.hexdigest()[:16] == "339392c198c50dda"
+    assert h.hexdigest()[:16] == "17f35863da37f273"
 
 
 def test_conditional_gradients_match_finite_differences(tiny_encdec):
@@ -246,8 +247,8 @@ def test_seeded_training_is_pinned():
     lines = []
     model, _ = train_synthetic("reverse_cipher", seed=0, total_steps=60, log_fn=lines.append)
     params = np.concatenate([t.data.astype("<f4").reshape(-1) for _, t in model.params.items()])
-    assert hashlib.sha256(params.tobytes()).hexdigest()[:16] == "4f3d8e4152ab5c5f"
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "0e380d38cbd54579"
+    assert hashlib.sha256(params.tobytes()).hexdigest()[:16] == "13cd2a6bb5c9c578"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "a9bf0b58a5d0bc3a"
 
 
 def _assert_views(params):
