@@ -49,6 +49,13 @@ def _int(cfg: RunConfig, key: str, default: int) -> int:
     return integer(key, cfg.get(key, default))
 
 
+def _count(cfg: RunConfig, default: int, least: int = 1) -> int:
+    count = _int(cfg, "count", default)
+    if count < least:
+        raise ConfigError(f"count must be >= {least}, got {count}")
+    return count
+
+
 def _len_range(cfg: RunConfig) -> tuple[int, int]:
     return _int(cfg, "len_min", 4), _int(cfg, "len_max", 12)
 
@@ -121,10 +128,11 @@ def _text(ids, vocab: Vocab) -> str:
 
 
 def cmd_sample(cfg: RunConfig) -> int:
+    count = _count(cfg, 1)
     model = _load_model(cfg)
     vocab = _load_vocab(cfg)
     scfg = _sampler_cfg(cfg)
-    samples = draw_samples(model, scfg, _int(cfg, "count", 1), scfg.seed)
+    samples = draw_samples(model, scfg, count, scfg.seed)
     _emit(cfg, [_text(ids, vocab) for ids in samples])
     return 0
 
@@ -161,8 +169,9 @@ def cmd_inpaint(cfg: RunConfig) -> int:
 
 
 def cmd_eval_task(cfg: RunConfig) -> int:
+    count = _count(cfg, 100)
     model = _load_model(cfg)
-    pairs = heldout_pairs(cfg.get("task"), _int(cfg, "seed", 0), _int(cfg, "count", 100),
+    pairs = heldout_pairs(cfg.get("task"), _int(cfg, "seed", 0), count,
                           _len_range(cfg), _int(cfg, "v_task", 14), model.config.N)
     # --seed also picks the task's held-out pairs, so --sampler.seed may differ
     acc = exact_match(model, pairs, _sampler_cfg(cfg, exclusive=("steps",)))
@@ -172,13 +181,14 @@ def cmd_eval_task(cfg: RunConfig) -> int:
 
 def cmd_eval_corpus(cfg: RunConfig) -> int:
     temps = numbers("temps", _require(cfg, "temps"))
+    count = _count(cfg, 50, least=2)    # self-BLEU scores each sample against the others
     model = _load_model(cfg)
     scfg = _sampler_cfg(cfg)
     corpus_path = _require(cfg, "corpus")
     vocab = _load_vocab(cfg)
     refs = [enc.ids[: enc.content_len].tolist()
             for enc in load_corpus(corpus_path, vocab, model.config.N)]
-    points = quality_diversity_curve(model, temps, _int(cfg, "count", 50),
+    points = quality_diversity_curve(model, temps, count,
                                      refs, sampler_cfg=scfg, seed=_int(cfg, "seed", 0))
     _emit(cfg, [f"variant=tau{p.temperature} metric=quality_bleu value={p.quality_bleu:.6f}"
                 for p in points]
@@ -188,7 +198,7 @@ def cmd_eval_corpus(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    seed = _int(cfg, "seed", 0)
+    seed, count = _int(cfg, "seed", 0), _count(cfg, 32)
     if "checkpoint" in cfg.top:
         model = _load_model(cfg)
         if model.config.mode != "unconditional":
@@ -199,7 +209,7 @@ def cmd_bench(cfg: RunConfig) -> int:
                                  **{"v": 32, "N": 64, "dropout": 0.0, **cfg.model})
         model = init_model(mcfg, np.random.default_rng(seed))
     T_values = [integer("steps", t) for t in str(cfg.get("steps", "4,8,10,16")).split(",")]
-    text, _ = bench_report(model, T_values, batch=_int(cfg, "count", 32), seed=seed)
+    text, _ = bench_report(model, T_values, batch=count, seed=seed)
     _emit(cfg, text.splitlines())
     return 0
 

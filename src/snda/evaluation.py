@@ -19,9 +19,10 @@ from .numerics import no_grad
 from .sampling import SamplerConfig, rerank, rerank_seeds, sample_chains
 
 # Chain rows per batched decode in draw_samples and translate. It bounds the
-# memory of a large input; at the desk config 32 rows decode as fast per row
-# as 64 (measured on one core) and keep the activations a quarter of a MB
-# per [rows, N, d] array.
+# memory of a large input; 32 rows decode as fast per row as 64 and keep the
+# activations a quarter of a MB per [rows, N, d] array. On one core, 64 rows
+# took 1.01 times as long per row as 32 for the trained cipher's chains and
+# 0.98 times for the character LM's (medians of 12 alternating repeats).
 CHAIN_ROWS = 32
 
 

@@ -261,22 +261,51 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def softmax_array(logits: np.ndarray, temperature: float = 1.0, axis: int = -1) -> np.ndarray:
-    """Stable softmax on a raw array (max-subtraction before exponentiation)."""
+def row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True), taken as an elementwise max across the
+    slabs of a copy of x's rows that has their axis first: numpy reduces a
+    short contiguous axis row by row, several times slower (rows of 16
+    float32 values, one core: 265 against 30 us per 32k values). Max is
+    exact, so the values are the same. Only the sign of a zero maximum may
+    differ, where a row holds both +0 and -0; no softmax output can see it."""
+    slabs = x.reshape(-1, x.shape[-1]).T.copy()
+    return np.maximum.reduce(slabs, axis=0).reshape(x.shape[:-1] + (1,))
+
+
+def softmax_array(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Stable softmax over the last axis of a raw array (max-subtraction
+    before exponentiation)."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     logits = np.asarray(logits, dtype=np.result_type(logits, np.float32))
     if not np.all(np.isfinite(logits)):
         raise NumericError("softmax: non-finite logits")
     z = logits / temperature
-    z = z - z.max(axis=axis, keepdims=True)
+    z = z - row_max(z)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax_array(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = logits - logits.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+def log_softmax_array(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis of a raw array."""
+    z = logits - row_max(logits)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def nll_array(logits: np.ndarray, targets: np.ndarray,
+              label_smoothing: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """-sum_k t_k log p_k at each position of raw logits [..., v] with
+    integer targets [...], where t = (1-eps) * onehot(target) + eps / v and
+    p = softmax(logits); and log p itself."""
+    v = logits.shape[-1]
+    if targets.min() < 0 or targets.max() >= v:
+        raise ValueError(f"target id out of range [0, {v})")
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("log-likelihood: non-finite logits")
+    logp = log_softmax_array(logits)
+    eps = label_smoothing
+    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    return -(1.0 - eps) * picked - (eps / v) * logp.sum(axis=-1), logp
 
 
 def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0) -> Tensor:
@@ -294,15 +323,7 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0) -> Tens
     tgt = np.asarray(targets).reshape(-1)
     if tgt.shape[0] != flat.shape[0]:
         raise ValueError("targets do not match logits positions")
-    if tgt.min() < 0 or tgt.max() >= v:
-        raise ValueError(f"target id out of range [0, {v})")
-    if not np.all(np.isfinite(flat)):
-        raise NumericError("cross_entropy: non-finite logits")
-
-    logp = log_softmax_array(flat)
-    eps = label_smoothing
-    rows = np.arange(flat.shape[0])
-    nll = -(1.0 - eps) * logp[rows, tgt] - (eps / v) * logp.sum(axis=-1)
+    nll, logp = nll_array(flat, tgt, label_smoothing)
     n = logits.data.dtype.type(flat.shape[0])
     value = nll.sum() / n
 
@@ -310,8 +331,8 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0) -> Tens
     if out.requires_grad:
         def bwd(g):
             p = np.exp(logp)
-            t = np.full_like(p, eps / v)
-            t[rows, tgt] += 1.0 - eps
+            t = np.full_like(p, label_smoothing / v)
+            t[np.arange(len(tgt)), tgt] += 1.0 - label_smoothing
             gl = (p - t) * (1 / n) * g
             logits._accumulate(gl.reshape(logits.data.shape))
         out._backward = bwd

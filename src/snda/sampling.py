@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Conditioning, DenoiserModel, denoise_logits
-from .numerics import (check_finite_fields, cross_entropy, log_softmax_array, no_grad,
-                       softmax_array)
-from .training import sample_tokens
+from .numerics import (check_finite_fields, cross_entropy, log_softmax_array, nll_array,
+                       no_grad, row_max, softmax_array)
+from .training import inverse_cdf
 
 
 @dataclass
@@ -80,19 +80,31 @@ def triangular_count(t: int, T: int, N: int) -> int:
 
 def sample_step_low_temp(logits: np.ndarray, y_prev: np.ndarray, tau: float,
                          update_count: int, clamp_mask: np.ndarray | None,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Resample `update_count` random unclamped positions of one chain's
-    state y_prev at temperature tau, from its denoiser logits [N, v]."""
+                         rngs: list[np.random.Generator]) -> np.ndarray:
+    """Resample `update_count` random unclamped positions of each chain's
+    state, the rows of y_prev [B, N], at temperature tau from their denoiser
+    logits [B, N, v].
+
+    Row b draws its positions and then their uniforms from rngs[b]; one
+    tempered softmax and one inverse-CDF lookup serve the drawn positions
+    of every row.
+    """
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    y_prev = np.asarray(y_prev, dtype=np.int64)
-    free = np.flatnonzero(~clamp_mask) if clamp_mask is not None else np.arange(len(y_prev))
-    update_count = min(update_count, len(free))
-    if update_count == 0:
-        return y_prev.copy()
-    sel = rng.choice(free, size=update_count, replace=False)
-    y = y_prev.copy()
-    y[sel] = sample_tokens(logits[sel], rng, tau)
+    y = np.array(y_prev, dtype=np.int64)
+    if len(rngs) != len(y):
+        raise ValueError(f"{len(y)} chains need {len(y)} rngs, got {len(rngs)}")
+    free = np.flatnonzero(~clamp_mask) if clamp_mask is not None else np.arange(y.shape[1])
+    k = min(update_count, len(free))
+    if k == 0:
+        return y
+    sel = np.empty((len(y), k), dtype=np.int64)
+    u = np.empty((len(y), k, 1))
+    for b, rng in enumerate(rngs):
+        sel[b] = rng.choice(free, size=k, replace=False)
+        u[b] = rng.random((k, 1))
+    rows = np.arange(len(y))[:, None]
+    y[rows, sel] = inverse_cdf(logits[rows, sel], u, tau)
     return y
 
 
@@ -119,7 +131,7 @@ def argmax_unrolled_step(model: DenoiserModel, lam: np.ndarray, y_prev: np.ndarr
 
     n_unc = min(math.ceil(rho * N), len(free))
     if n_unc > 0:
-        certainty = log_softmax_array(lam_prev).max(axis=-1)
+        certainty = row_max(log_softmax_array(lam_prev))[..., 0]
         order = free[np.argsort(certainty[..., free], axis=-1, kind="stable")]
         uncertain = order[..., :n_unc]
         z = y_prev.copy()
@@ -135,6 +147,13 @@ def _step_count(cfg: SamplerConfig, t: int, N: int) -> int:
     return math.ceil(cfg.update_fraction * N)
 
 
+def _chain_scores(logits: np.ndarray, y: np.ndarray) -> list[float]:
+    """model_score of each row of y [B, N] from its logits [B, N, v], with
+    one log-softmax over every row."""
+    nll, _ = nll_array(logits, y)
+    return (nll.sum(axis=-1) / logits.dtype.type(y.shape[-1])).tolist()
+
+
 @no_grad()
 def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
                   init: Template | None = None,
@@ -144,10 +163,12 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
 
     Chain b draws from its own rng seeded seeds[b], so it equals the chain
     that runs alone with that seed. Each step is one denoiser forward over
-    the chains still running. A chain that stops early leaves the batch and
-    is scored with the logits its last step computed, since its final state
-    is that step's input; the other chains share one scoring forward at the
-    end. `cond` holds one row per chain.
+    the chains still running and, for low_temp, one tempered softmax over
+    the positions they resample; only the rng draws run chain by chain.
+    Chains that stop early leave the batch and are scored together with the
+    logits their last step computed, since their final states are that
+    step's inputs; the other chains share one scoring forward at the end.
+    `cond` holds one row per chain; no seeds give no traces.
     """
     mcfg = model.config
     if mcfg.mode == "encoder_decoder" and cond is None:
@@ -179,9 +200,8 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
         else:
             count = _step_count(cfg, t, mcfg.N)
             logits = denoise_logits(model, rows, rows_cond).data if min(count, n_free) else None
-            y = rows if logits is None else np.stack([
-                sample_step_low_temp(logits[k], rows[k], cfg.temperature, count, clamp, rngs[b])
-                for k, b in enumerate(active)])
+            y = rows if logits is None else sample_step_low_temp(
+                logits, rows, cfg.temperature, count, clamp, [rngs[b] for b in active])
         n_changed = (y != rows).sum(axis=1)
         x[active] = y
         for k, b in enumerate(active):
@@ -189,9 +209,9 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
             traces[b].changed.append(int(n_changed[k]))
         if cfg.early_stop:
             stopped = n_changed == 0
-            if logits is not None:
-                for k in np.flatnonzero(stopped):
-                    traces[active[k]].final_score = cross_entropy(logits[k], y[k]).item()
+            if logits is not None and stopped.any():
+                for b, score in zip(active[stopped], _chain_scores(logits[stopped], y[stopped])):
+                    traces[b].final_score = score
             active = active[~stopped]
             if not len(active):
                 break
@@ -199,8 +219,8 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
     if unscored:
         logits = denoise_logits(model, x[unscored],
                                 None if cond is None else cond.take(unscored)).data
-        for k, b in enumerate(unscored):
-            traces[b].final_score = cross_entropy(logits[k], x[b]).item()
+        for b, score in zip(unscored, _chain_scores(logits, x[unscored])):
+            traces[b].final_score = score
     return traces
 
 

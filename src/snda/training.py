@@ -81,13 +81,18 @@ def make_train_state(model: DenoiserModel, cfg: TrainConfig) -> TrainState:
     )
 
 
+def inverse_cdf(logits: np.ndarray, u: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Per position of logits [..., v], the token whose interval of the
+    cumulative softmax(logits / temperature) holds the uniform draw u
+    [..., 1]; the last token where rounding leaves the total below u."""
+    cdf = np.cumsum(softmax_array(logits, temperature), axis=-1)
+    return np.minimum((u > cdf).sum(axis=-1), cdf.shape[-1] - 1)
+
+
 def sample_tokens(logits: np.ndarray, rng: np.random.Generator,
                   temperature: float = 1.0) -> np.ndarray:
     """Inverse-CDF sample per position from softmax(logits / temperature)."""
-    probs = softmax_array(logits, temperature)
-    cdf = np.cumsum(probs, axis=-1)
-    u = rng.random(probs.shape[:-1] + (1,))
-    return np.minimum((u > cdf).sum(axis=-1), probs.shape[-1] - 1)
+    return inverse_cdf(logits, rng.random(np.shape(logits)[:-1] + (1,)), temperature)
 
 
 def loss_unrolled(model: DenoiserModel, batch, s: int,

@@ -150,9 +150,9 @@ def test_criterion_07_decoding_equivalences():
     # (b) low_temp at tau=1e-6 equals argmax on 100 random states
     for i in range(100):
         y = rng.integers(0, 8, size=8)
-        out = sample_step_low_temp(denoise_logits(model, y).data, y, 1e-6, 8, None,
-                                   np.random.default_rng(i))
-        assert np.array_equal(out, denoise_logits(model, y).data.argmax(-1))
+        out = sample_step_low_temp(denoise_logits(model, y[None]).data, y[None], 1e-6, 8,
+                                   None, [np.random.default_rng(i)])
+        assert np.array_equal(out[0], denoise_logits(model, y).data.argmax(-1))
 
     # (c) clamped positions never change across 1000 randomized chains
     for i in range(1000):

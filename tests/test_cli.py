@@ -291,6 +291,24 @@ def test_train_rejects_dtype_the_tape_cannot_hold(in_tmp, capsys, dtype):
     assert os.listdir(".") == []
 
 
+@pytest.mark.parametrize("argv, least", [
+    ("sample --checkpoint lm.ckpt --steps 1 --count 0", 1),
+    ("sample --checkpoint lm.ckpt --steps 1 --count -2", 1),
+    (_EVAL_TASK.replace("--count 2", "--count 0") + " --v_task 6 --len_min 2 --len_max 6", 1),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 1 --steps 1", 2),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 0 --steps 1", 2),
+    ("bench --checkpoint lm.ckpt --steps 1 --count 0", 1),
+    ("bench --steps 1 --count -1 --model.N 8 --model.v 8", 1),
+], ids=["sample-0", "sample-negative", "eval-task-0", "eval-corpus-1", "eval-corpus-0",
+        "bench-checkpoint-0", "bench-negative"])
+def test_count_below_its_least_is_a_usage_error(tiny_ckpts, capsys, argv, least):
+    before = sorted(os.listdir("."))
+    assert run(argv.split() + ["--out", "report.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: count must be >= {least}" in captured.err
+    assert sorted(os.listdir(".")) == before
+
+
 @pytest.mark.parametrize("argv, keys", [
     ("sample --checkpoint lm.ckpt --steps 2 --sampler.T 3", ("--steps", "--sampler.T")),
     ("sample --checkpoint lm.ckpt --steps 2 --seed 1 --sampler.seed 2",

@@ -1,12 +1,14 @@
 """Autodiff core: op gradients against finite differences and numpy oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snda.numerics import (NumericError, ParamSet, Tensor, cross_entropy,
+from snda.numerics import (NEG_INF, NumericError, ParamSet, Tensor, cross_entropy,
                            dropout, embedding, grad_check, layer_norm,
-                           log_softmax_array, no_grad, softmax_array)
+                           log_softmax_array, no_grad, row_max, softmax_array)
 
 
 def _check(build_loss, shapes, seed=0, tol=1e-6):
@@ -109,6 +111,39 @@ def test_softmax_array_is_a_distribution(vals, tau):
 def test_softmax_shift_invariance(shift):
     logits = np.array([0.3, -1.2, 2.0])
     assert np.allclose(softmax_array(logits), softmax_array(logits + shift))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       lead=st.lists(st.integers(0, 3), max_size=3), n=st.integers(1, 40),
+       tau=st.sampled_from([1.0, 0.3, 2.5]), data=st.data())
+def test_row_max_and_softmaxes_equal_the_last_axis_reduce(dtype, lead, n, tau, data):
+    shape = tuple(lead) + (n,)
+    # few distinct values, so rows tie; signed zeros and masked entries
+    values = st.sampled_from([0.0, -0.0, 1.5, -2.0, NEG_INF]) | st.floats(-60, 60, width=32)
+    x = np.array(data.draw(st.lists(values, min_size=math.prod(shape),
+                                    max_size=math.prod(shape))), dtype=dtype).reshape(shape)
+
+    want = x.max(axis=-1, keepdims=True)
+    got = row_max(x)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # bitwise too, but for the sign of a zero maximum in a row that holds
+    # both +0 and -0, which IEEE max leaves open
+    both_zeros = ((x == 0) & np.signbit(x)).any(-1, keepdims=True) & (
+        (x == 0) & ~np.signbit(x)).any(-1, keepdims=True)
+    assert ((_bits(got) == _bits(want)) | (both_zeros & (want == 0))).all()
+
+    z = x / tau
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    assert np.array_equal(_bits(softmax_array(x, tau)), _bits(e / e.sum(axis=-1, keepdims=True)))
+    z = x - want
+    log_p = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    assert np.array_equal(_bits(log_softmax_array(x)), _bits(log_p))
 
 
 def test_dropout_train_scaling():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from snda.model import build_conditioning, denoise_logits
+from snda.numerics import NumericError
 from snda.sampling import (SamplerConfig, Template,
                            argmax_unrolled_step, exact_chain_prob, model_score,
                            rerank, rerank_seeds, sample_chain, sample_chains,
@@ -50,28 +51,29 @@ def test_triangular_count_ramp():
 
 
 def test_low_temp_step_zero_updates_is_noop(tiny_model):
-    y = np.random.default_rng(0).integers(0, 8, size=8)
+    y = np.random.default_rng(0).integers(0, 8, size=(3, 8))
     out = sample_step_low_temp(denoise_logits(tiny_model, y).data, y, 0.5, 0, None,
-                               np.random.default_rng(1))
+                               [np.random.default_rng(b) for b in range(3)])
     assert np.array_equal(out, y)
 
 
 def test_low_temp_step_tiny_tau_is_argmax(tiny_model):
-    y = np.random.default_rng(0).integers(0, 8, size=8)
+    y = np.random.default_rng(0).integers(0, 8, size=(3, 8))
     out = sample_step_low_temp(denoise_logits(tiny_model, y).data, y, 1e-6, 8, None,
-                               np.random.default_rng(1))
+                               [np.random.default_rng(b) for b in range(3)])
     want = denoise_logits(tiny_model, y).data.argmax(axis=-1)
     assert np.array_equal(out, want)
 
 
 def test_low_temp_step_respects_clamp(tiny_model):
-    y = np.random.default_rng(0).integers(0, 8, size=8)
+    y = np.random.default_rng(0).integers(0, 8, size=(20, 8))
     clamp = np.array([True, False] * 4)
     logits = denoise_logits(tiny_model, y).data
-    for seed in range(20):
-        out = sample_step_low_temp(logits, y, 0.5, 8, clamp,
-                                   np.random.default_rng(seed))
-        assert np.array_equal(out[clamp], y[clamp])
+    out = sample_step_low_temp(logits, y, 0.5, 8, clamp,
+                               [np.random.default_rng(seed) for seed in range(20)])
+    assert np.array_equal(out[:, clamp], y[:, clamp])
+    with pytest.raises(ValueError, match="20 chains need 20 rngs"):
+        sample_step_low_temp(logits, y, 0.5, 8, clamp, [np.random.default_rng(0)])
 
 
 def test_argmax_unrolled_rho_zero_is_plain_argmax(tiny_model):
@@ -196,6 +198,57 @@ def test_sample_reranked_scores_each_chain_once(tiny_model, monkeypatch):
     # and the chains share each step's forward
     assert sum(forwarded) == sum(len(t.changed) for t in traces) + sum(ran_all)
     assert len(forwarded) == cfg.T + 1
+
+
+def test_low_temp_step_work_is_batched_across_chains(tiny_model, monkeypatch):
+    import snda.sampling as sampling
+    import snda.training as training
+    cfg = SamplerConfig(T=8, temperature=0.03, update_fraction=0.5, seed=0)
+    seeds = rerank_seeds(cfg.seed, 6)
+    traces = [sample_chain(tiny_model, replace(cfg, seed=s)) for s in seeds]
+    forwards, softmaxes, scored = [], [], []
+    logits, softmax, nll = sampling.denoise_logits, training.softmax_array, sampling.nll_array
+    monkeypatch.setattr(sampling, "denoise_logits",
+                        lambda model, x, *a, **k: forwards.append(np.shape(x)[0]) or
+                        logits(model, x, *a, **k))
+    monkeypatch.setattr(training, "softmax_array",
+                        lambda z, tau: softmaxes.append((z.shape, tau)) or softmax(z, tau))
+    monkeypatch.setattr(sampling, "nll_array",
+                        lambda z, y: scored.append(len(z)) or nll(z, y))
+    batched = sample_chains(tiny_model, cfg, seeds)
+    assert [t.final_score for t in batched] == [t.final_score for t in traces]
+    steps = [len(t.changed) for t in traces]
+    ran_all = [t.changed[-1] != 0 for t in traces]
+    assert 0 < sum(ran_all) < 6 and len(set(steps)) > 2
+    running = [sum(n >= t for n in steps) for t in range(1, cfg.T + 1)]
+    # one forward per step over the running chains, then one scoring forward
+    assert forwards == running + [sum(ran_all)]
+    # one tempered softmax per step over the 4 resampled positions of every
+    # running chain
+    assert softmaxes == [((rows, 4, 8), cfg.temperature) for rows in running]
+    # one scoring pass per step at which chains stopped, and one at the end
+    stopped = [sum(n == t and not r for n, r in zip(steps, ran_all))
+               for t in range(1, cfg.T + 1)]
+    assert scored == [n for n in stopped if n] + [sum(ran_all)]
+
+
+@pytest.mark.parametrize("strategy", ["low_temp", "argmax_unrolled"])
+@pytest.mark.parametrize("T", [0, 2])
+def test_sample_chains_rejects_non_finite_logits(tiny_model, strategy, T):
+    # T=2 reaches the step, T=0 only the scoring pass
+    tiny_model.params["head.b"].data[3] = np.nan
+    with pytest.raises(NumericError):
+        sample_chains(tiny_model, SamplerConfig(T=T, strategy=strategy), [0, 1, 2])
+
+
+@pytest.mark.parametrize("strategy", ["low_temp", "argmax_unrolled"])
+@pytest.mark.parametrize("T", [0, 1, 3])
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_sample_chains_without_seeds_returns_no_traces(tiny_model, strategy, T, early_stop):
+    cfg = SamplerConfig(T=T, strategy=strategy, early_stop=early_stop)
+    assert sample_chains(tiny_model, cfg, []) == []
+    template = Template(np.arange(8), np.arange(8) < 3)
+    assert sample_chains(tiny_model, replace(cfg, schedule="triangular"), [], template) == []
 
 
 def test_sample_reranked_picks_min_score(tiny_model):
