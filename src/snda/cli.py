@@ -18,7 +18,7 @@ from .evaluation import draw_samples, exact_match, quality_diversity_curve, stri
 from .experiments import (ABLATION_SAMPLER, ablation_report, bench_report,
                           desk_model_config, heldout_pairs, train_lm, train_synthetic)
 from .model import init_model
-from .numerics import NumericError
+from .numerics import NumericError, seed_value
 from .sampling import SamplerConfig, Template, sample_chain
 
 
@@ -303,7 +303,8 @@ def _usage() -> str:
              "list of T values; where a command decodes, --seed is sampler.seed.",
              "Setting a value twice (--steps with --sampler.T, --seed with",
              "--sampler.seed) is an error, except --seed with --sampler.seed on",
-             "eval --task, whose --seed also picks the held-out pairs.", "",
+             "eval --task, whose --seed also picks the held-out pairs. Seeds",
+             "(--seed, --sampler.seed) must be >= 0.", "",
              "commands:"]
     for b in COMMANDS:
         reads = [f"--{k}" for k in b.keys] + [f"--{s}.*" for s in b.sections]
@@ -348,6 +349,10 @@ def _parse_argv(argv: list[str]) -> tuple[Branch, RunConfig]:
         if s not in branch.sections or f"{s}.{k}" in branch.unread]
     if unread:
         raise ConfigError(f"snda {branch.name} does not read --{unread[0]}")
+    # seeds are checked here so that the error comes before any checkpoint or corpus is read
+    for key, value in (("seed", cfg.top.get("seed")), ("sampler.seed", cfg.sampler.get("seed"))):
+        if value is not None:
+            seed_value(key, integer(key, value))
     return branch, cfg
 
 

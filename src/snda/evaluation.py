@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,21 +47,54 @@ def _ngrams(tokens, n) -> Counter:
     return Counter(tuple(tokens[i: i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _clip_table(refs, max_order: int) -> tuple[list[dict], list[int]]:
+class ClipTable(NamedTuple):
     """The reference side of multi-reference BLEU: per order, each n-gram's
     largest count in any one reference, and the sorted distinct reference
-    lengths. Duplicate references cannot change either, so each distinct
-    reference is counted once."""
-    distinct = {tuple(r) for r in refs}
-    if not distinct:
-        raise ValueError("empty reference list")
-    best: list[dict] = [{} for _ in range(max_order)]
-    for ref in distinct:
-        for n, table in enumerate(best, 1):
-            for g, c in _ngrams(ref, n).items():
-                if c > table.get(g, 0):
-                    table[g] = c
-    return best, sorted({len(r) for r in distinct})
+    lengths. corpus_bleu takes one in place of a reference list, so a
+    reference set scored many times is counted once."""
+    best: list[dict]
+    lengths: list[int]
+
+    @classmethod
+    def build(cls, refs, max_order: int) -> ClipTable:
+        """Duplicate references cannot change the table, so each distinct
+        reference is counted once."""
+        distinct = {tuple(r) for r in refs}
+        if not distinct:
+            raise ValueError("empty reference list")
+        best: list[dict] = [{} for _ in range(max_order)]
+        for ref in distinct:
+            for n, table in enumerate(best, 1):
+                for g, c in _ngrams(ref, n).items():
+                    if c > table.get(g, 0):
+                        table[g] = c
+        return cls(best, sorted({len(r) for r in distinct}))
+
+
+def _table_of(refs, max_order: int) -> ClipTable:
+    if not isinstance(refs, ClipTable):
+        return ClipTable.build(refs, max_order)
+    if len(refs.best) != max_order:
+        raise ValueError(f"clip table has {len(refs.best)} orders, max_order is {max_order}")
+    return refs
+
+
+def _score(matches: np.ndarray, totals: np.ndarray, hyp_len: int, ref_len: int) -> float:
+    """BLEU from per-order clipped matches and n-gram totals; orders with no
+    n-grams are left out."""
+    active = totals > 0
+    if not active.any():
+        return 0.0
+    if (matches[active] == 0).any():
+        return 0.0
+    log_p = np.log(matches[active] / totals[active]).mean()
+    bp = 1.0 if hyp_len > ref_len else float(np.exp(1.0 - ref_len / max(hyp_len, 1)))
+    return float(100.0 * bp * np.exp(log_p))
+
+
+def _closest(lengths, length: int) -> int:
+    """The reference length closest to `length`; ties favour the shorter."""
+    return min((abs(ref - length), ref) for ref in lengths)[1]
 
 
 def corpus_bleu(hypotheses: list, reference_lists: list,
@@ -68,7 +102,8 @@ def corpus_bleu(hypotheses: list, reference_lists: list,
     """Corpus BLEU with (possibly multiple) references per hypothesis.
 
     Each distinct reference-list object is counted once per call, so
-    `[refs] * k` builds one clip table for all k hypotheses."""
+    `[refs] * k` builds one clip table for all k hypotheses. A ClipTable
+    may stand in for a reference list; it must have cfg.max_order orders."""
     cfg = cfg or BleuConfig()
     # the clip tables are keyed by id(refs); holding every reference list
     # for the whole call keeps those ids from being reused by another list
@@ -81,29 +116,21 @@ def corpus_bleu(hypotheses: list, reference_lists: list,
     totals = np.zeros(cfg.max_order)
     hyp_len = 0
     ref_len = 0
-    tables: dict[int, tuple] = {}
+    tables: dict[int, ClipTable] = {}
     for hyp, refs in zip(hypotheses, reference_lists):
         if id(refs) not in tables:
-            tables[id(refs)] = _clip_table(refs, cfg.max_order)
+            tables[id(refs)] = _table_of(refs, cfg.max_order)
         best, lengths = tables[id(refs)]
         hyp = list(hyp)
         hyp_len += len(hyp)
-        # closest reference length; ties favour the shorter
-        ref_len += min((abs(length - len(hyp)), length) for length in lengths)[1]
+        ref_len += _closest(lengths, len(hyp))
         for n, table in enumerate(best, 1):
             counts = _ngrams(hyp, n)
             if not counts:
                 continue
             matches[n - 1] += sum(min(c, table.get(g, 0)) for g, c in counts.items())
             totals[n - 1] += sum(counts.values())
-    active = totals > 0
-    if not active.any():
-        return 0.0
-    if (matches[active] == 0).any():
-        return 0.0
-    log_p = np.log(matches[active] / totals[active]).mean()
-    bp = 1.0 if hyp_len > ref_len else float(np.exp(1.0 - ref_len / max(hyp_len, 1)))
-    return float(100.0 * bp * np.exp(log_p))
+    return _score(matches, totals, hyp_len, ref_len)
 
 
 def bleu(hypotheses: list, references: list, cfg: BleuConfig | None = None) -> float:
@@ -114,13 +141,53 @@ def bleu(hypotheses: list, references: list, cfg: BleuConfig | None = None) -> f
 
 
 def self_bleu(samples: list, cfg: BleuConfig | None = None) -> float:
-    """Mean over samples of BLEU against all other samples as references."""
+    """Mean over samples of BLEU against all other samples as references.
+
+    One pass over the samples' n-grams: per n-gram, its top two counts over
+    the samples and how many samples hold the top count. A sample's
+    leave-one-out clip is the top count, or the second count when the sample
+    alone holds the top; its closest length likewise leaves its own length
+    out unless another sample shares it. The sums are integer counts, so
+    each score equals corpus_bleu([s], [others]) exactly."""
+    cfg = cfg or BleuConfig()
     if len(samples) < 2:
         raise ValueError("self_bleu needs at least 2 samples")
+    samples = [tuple(s) for s in samples]
+    counts = [[_ngrams(s, n) for n in range(1, cfg.max_order + 1)] for s in samples]
+    tops: list[dict] = [{} for _ in range(cfg.max_order)]   # g -> [top, holders, second]
+    for per_order in counts:
+        for top, grams in zip(tops, per_order):
+            for g, c in grams.items():
+                t = top.get(g)
+                if t is None:
+                    top[g] = [c, 1, 0]
+                elif c > t[0]:
+                    t[:] = [c, 1, t[0]]
+                elif c == t[0]:
+                    t[1] += 1
+                elif c > t[2]:
+                    t[2] = c
+    length_counts = Counter(len(s) for s in samples)
+    lengths = sorted(length_counts)
     scores = []
-    for i, s in enumerate(samples):
-        rest = samples[:i] + samples[i + 1:]
-        scores.append(corpus_bleu([s], [rest], cfg))
+    for s, per_order in zip(samples, counts):
+        matches = np.zeros(cfg.max_order)
+        totals = np.zeros(cfg.max_order)
+        for n, (top, grams) in enumerate(zip(tops, per_order)):
+            if not grams:
+                continue
+            clipped = 0
+            for g, c in grams.items():
+                best, holders, second = top[g]
+                clipped += min(c, second if c == best and holders == 1 else best)
+            matches[n] = clipped
+            totals[n] = sum(grams.values())
+        if length_counts[len(s)] > 1:
+            ref_len = len(s)
+        else:
+            k = lengths.index(len(s))
+            ref_len = _closest(lengths[max(k - 1, 0): k] + lengths[k + 1: k + 2], len(s))
+        scores.append(_score(matches, totals, len(s), ref_len))
     return float(np.mean(scores))
 
 
@@ -153,8 +220,11 @@ def quality_diversity_curve(model, temperatures: list[float],
                             seed: int = 0) -> list[QDPoint]:
     """Quality BLEU vs reference corpus and self-BLEU, per temperature.
 
-    Two disjoint sample sets per temperature: one scored against the
-    references, the other against itself.
+    Two disjoint sample sets per temperature, drawn as one batch of
+    2 * samples_per_temp chains seeded `seed + 7919 * k + i` for the k-th
+    temperature: the first half (empty samples dropped) is scored against
+    the references, the second half against itself by self-BLEU. The
+    references' clip table is built once for all temperatures.
     """
     if not temperatures:
         raise ValueError("temperatures must be nonempty")
@@ -162,14 +232,15 @@ def quality_diversity_curve(model, temperatures: list[float],
         raise ValueError("temperatures must be sorted ascending")
     base = sampler_cfg or SamplerConfig(T=16, temperature=1.0,
                                         update_fraction=0.3, early_stop=True)
-    refs = [list(r) for r in reference_corpus]
+    bleu_cfg = bleu_cfg or BleuConfig()
+    refs = ClipTable.build(reference_corpus, bleu_cfg.max_order)
     points = []
     for k, tau in enumerate(temperatures):
         cfg = replace(base, temperature=float(tau))
         offset = seed + 7919 * k
-        quality_set = [h for h in draw_samples(model, cfg, samples_per_temp, offset) if h]
-        diversity_set = [h for h in draw_samples(model, cfg, samples_per_temp,
-                                                 offset + samples_per_temp) if h]
+        drawn = draw_samples(model, cfg, 2 * samples_per_temp, offset)
+        quality_set = [h for h in drawn[:samples_per_temp] if h]
+        diversity_set = [h for h in drawn[samples_per_temp:] if h]
         q = corpus_bleu(quality_set, [refs] * len(quality_set), bleu_cfg) if quality_set else 0.0
         d = self_bleu(diversity_set, bleu_cfg) if len(diversity_set) >= 2 else 0.0
         points.append(QDPoint(temperature=float(tau), quality_bleu=q, self_bleu=d))

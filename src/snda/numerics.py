@@ -34,6 +34,14 @@ def finite(name: str, value):
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def seed_value(name: str, value: int) -> int:
+    """`value` itself if it can seed numpy's rngs (>= 0); otherwise a
+    ValueError naming `name`."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def check_finite_fields(cfg):
     """`finite` on every float field of the dataclass `cfg`; the comparisons
     in a config's own checks let NaN through."""

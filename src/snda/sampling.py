@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import Conditioning, DenoiserModel, denoise_logits
 from .numerics import (check_finite_fields, cross_entropy, log_softmax_array, nll_array,
-                       no_grad, row_max, softmax_array)
+                       no_grad, row_max, seed_value, softmax_array)
 from .training import inverse_cdf
 
 
@@ -40,6 +40,7 @@ class SamplerConfig:
             raise ValueError(f"early_stop must be true or false, got {self.early_stop!r}")
         if self.T < 0:
             raise ValueError("T must be >= 0")
+        seed_value("seed", self.seed)
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.strategy not in ("low_temp", "argmax_unrolled"):

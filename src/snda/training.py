@@ -18,7 +18,7 @@ from .corruption import corrupt_batch
 from .data import PairBatch
 from .model import DenoiserModel, build_conditioning, denoise_logits, length_class
 from .numerics import (NumericError, ParamSet, Tensor, check_finite_fields, cross_entropy,
-                       softmax_array)
+                       seed_value, softmax_array)
 
 # Values per AdamW slice, so that the update's temporaries stay in cache. At
 # the desk encoder-decoder layout (292,824 float32 values) the whole-array
@@ -49,6 +49,7 @@ class TrainConfig:
         check_finite_fields(self)
         if self.unroll_terms < 1:
             raise ValueError("unroll_terms must be >= 1")
+        seed_value("seed", self.seed)
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
         if min(self.lr_start, self.lr_peak, self.lr_min) <= 0:

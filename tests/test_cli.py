@@ -309,6 +309,39 @@ def test_count_below_its_least_is_a_usage_error(tiny_ckpts, capsys, argv, least)
     assert sorted(os.listdir(".")) == before
 
 
+_TRAIN_TINY = "--model.N 8 --train.total_steps 2 --train.batch_size 4"
+_COPY_TASK = "--task copy --v_task 6 --len_min 2 --len_max 6"
+
+
+@pytest.mark.parametrize("argv, key", [
+    ("sample --checkpoint junk.ckpt --steps 1 --seed -1", "seed"),
+    ("sample --checkpoint junk.ckpt --steps 1 --sampler.seed -1", "sampler.seed"),
+    ("translate --checkpoint junk.ckpt --input src.txt --steps 1 --seed -1", "seed"),
+    ("inpaint --checkpoint junk.ckpt --template a*b --steps 1 --sampler.seed -3",
+     "sampler.seed"),
+    ("eval --checkpoint junk.ckpt --corpus corpus.txt --temps 0.9 --count 2 --steps 1 "
+     "--seed -5", "seed"),
+    (f"eval --checkpoint junk.ckpt {_COPY_TASK} --count 2 --steps 1 --sampler.seed -1",
+     "sampler.seed"),
+    (f"train --corpus missing.txt {_TRAIN_TINY} --seed -2", "seed"),
+    (f"train {_COPY_TASK} {_TRAIN_TINY} --seed -2", "seed"),
+    ("bench --checkpoint junk.ckpt --steps 1 --count 2 --seed -1", "seed"),
+    ("bench --steps 1 --count 2 --model.N 8 --model.v 8 --seed -1", "seed"),
+    (f"ablate {_COPY_TASK} {_TRAIN_TINY} --sampler.T 1 --seed -1", "seed"),
+    (f"ablate {_COPY_TASK} {_TRAIN_TINY} --sampler.T 1 --sampler.seed -1", "sampler.seed"),
+], ids=["sample", "sample-sampler-seed", "translate", "inpaint", "eval-corpus", "eval-task",
+        "train-corpus", "train-task", "bench-checkpoint", "bench", "ablate",
+        "ablate-sampler-seed"])
+def test_negative_seed_is_a_usage_error(tiny_ckpts, capsys, argv, key):
+    # junk.ckpt and missing.txt would fail if read: the seed is checked first
+    (tiny_ckpts / "junk.ckpt").write_bytes(b"XXXXnothing")
+    before = sorted(os.listdir("."))
+    assert run(argv.split() + ["--out", "report.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {key} must be >= 0, got -" in captured.err
+    assert sorted(os.listdir(".")) == before
+
+
 @pytest.mark.parametrize("argv, keys", [
     ("sample --checkpoint lm.ckpt --steps 2 --sampler.T 3", ("--steps", "--sampler.T")),
     ("sample --checkpoint lm.ckpt --steps 2 --seed 1 --sampler.seed 2",

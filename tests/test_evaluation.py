@@ -7,12 +7,13 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from snda import evaluation
 from snda.data import PAD, TokenSeq
-from snda.evaluation import (BleuConfig, bleu, corpus_bleu, draw_samples, exact_match,
+from snda.evaluation import (BleuConfig, ClipTable, bleu, corpus_bleu, draw_samples, exact_match,
                              quality_diversity_curve, self_bleu, strip_pad, translate)
-from snda.sampling import SamplerConfig
+from snda.sampling import SamplerConfig, sample_chains
 
 
 def test_bleu_perfect_match_is_100():
@@ -145,6 +146,100 @@ def test_generated_reference_lists_score_like_a_list():
     assert corpus_bleu(hyps, one_reference_lists()) == expected
     with pytest.raises(ValueError, match="counts differ"):
         corpus_bleu(hyps, ([h] for h in hyps[:3]))
+
+
+def test_clip_tables_follow_reference_content():
+    hyps = [list("abcd"), list("abce")]
+    refs = [list("abcd")]
+    first = corpus_bleu(hyps, [refs] * 2, BleuConfig(max_order=2))
+    assert first == pytest.approx(100.0 * math.sqrt(7 / 8 * 5 / 6))
+    assert corpus_bleu(hyps, [copy.deepcopy(refs)] * 2, BleuConfig(max_order=2)) == first
+    # the same list object, mutated between calls, scores its new content
+    refs[0][3] = "x"
+    assert corpus_bleu(hyps, [refs] * 2, BleuConfig(max_order=2)) == pytest.approx(
+        100.0 * math.sqrt(6 / 8 * 4 / 6))
+    refs.append(list("abce"))
+    assert corpus_bleu(hyps, [refs] * 2, BleuConfig(max_order=2)) == first
+    refs[:] = [list("wxyz")]
+    assert corpus_bleu(hyps, [refs] * 2, BleuConfig(max_order=2)) == 0.0
+
+
+def test_clip_table_stands_in_for_its_references():
+    refs = [list("abcd"), list("abd"), list("abcd"), list("xbcab")]
+    hyps = [list("abcab"), list("ab"), list("dcba")]
+    for order in (1, 2, 4):
+        cfg = BleuConfig(max_order=order)
+        table = ClipTable.build(refs, order)
+        assert corpus_bleu(hyps, [table] * 3, cfg) == corpus_bleu(hyps, [refs] * 3, cfg)
+        assert corpus_bleu(hyps, [table, refs, table], cfg) == corpus_bleu(hyps, [refs] * 3, cfg)
+    with pytest.raises(ValueError, match="clip table has 2 orders, max_order is 4"):
+        corpus_bleu(hyps, [ClipTable.build(refs, 2)] * 3)
+    with pytest.raises(ValueError, match="empty reference list"):
+        ClipTable.build([], 4)
+
+
+def test_quality_diversity_curve_builds_one_clip_table(tiny_model, monkeypatch):
+    built = []
+    build = ClipTable.build
+
+    def counting(refs, max_order):
+        built.append(max_order)
+        return build(refs, max_order)
+
+    monkeypatch.setattr(ClipTable, "build", counting)
+    cfg = SamplerConfig(T=2, update_fraction=0.5)
+    quality_diversity_curve(tiny_model, [0.3, 1.0, 2.0], 4, [[2, 3], [3, 4, 2]],
+                            sampler_cfg=cfg, bleu_cfg=BleuConfig(max_order=3), seed=1)
+    assert built == [3]
+
+
+@st.composite
+def _self_bleu_case(draw):
+    """(samples, max_order) over str or int tokens, with duplicate samples,
+    samples shorter than max_order (the empty one included) and tied lengths."""
+    tokens = draw(st.sampled_from(["abc", [1, 2, 3], [0, 1], "a"]))
+    samples = draw(st.lists(st.lists(st.sampled_from(tokens), max_size=7),
+                            min_size=2, max_size=7))
+    samples += [copy.copy(samples[i]) for i in draw(st.lists(
+        st.integers(0, len(samples) - 1), max_size=2))]
+    return samples, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_self_bleu_case())
+# one sample alone holds the top counts of (a,) and (a, a)
+@example(([list("aaaab"), list("aab"), list("ab")], 2))
+# two duplicates share the top count of (1,); one sample alone holds (2,)'s
+@example(([[1, 1, 2], [1, 2, 2], [1, 1, 2]], 1))
+# closest-length ties, with and without another sample of the same length
+@example(([list("abc"), list("ab"), list("abcd")], 4))
+@example(([list("abc"), list("ab"), list("abcd"), list("cba")], 4))
+# samples shorter than max_order, the empty one included
+@example(([[], list("a"), list("ab")], 3))
+def test_self_bleu_matches_leave_one_out_definition(case):
+    samples, order = case
+    cfg = BleuConfig(max_order=order)
+    one_by_one = [corpus_bleu([s], [samples[:i] + samples[i + 1:]], cfg)
+                  for i, s in enumerate(samples)]
+    assert self_bleu(samples, cfg) == float(np.mean(one_by_one))
+
+
+def test_quality_diversity_draws_each_temperature_as_one_batch(tiny_model, monkeypatch):
+    calls = []
+
+    def recording(model, cfg, seeds, *args, **kwargs):
+        calls.append((cfg.temperature, list(seeds)))
+        return sample_chains(model, cfg, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "sample_chains", recording)
+    cfg = SamplerConfig(T=2, update_fraction=0.5)
+    quality_diversity_curve(tiny_model, [0.5, 1.0], 8, [[2, 3]], sampler_cfg=cfg, seed=5)
+    assert calls == [(0.5, list(range(5, 21))), (1.0, list(range(7924, 7940)))]
+    calls.clear()
+    # 40 chains a temperature: one full group of CHAIN_ROWS and the rest
+    quality_diversity_curve(tiny_model, [0.5, 1.0], 20, [[2, 3]], sampler_cfg=cfg, seed=5)
+    assert calls == [(0.5, list(range(5, 37))), (0.5, list(range(37, 45))),
+                     (1.0, list(range(7924, 7956))), (1.0, list(range(7956, 7964)))]
 
 
 def test_quality_diversity_curve_is_pinned(tiny_model):

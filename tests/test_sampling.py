@@ -27,6 +27,8 @@ def test_sampler_config_validation():
         SamplerConfig(update_fraction=0.0)
     with pytest.raises(ValueError):
         SamplerConfig(rerank_width=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SamplerConfig(seed=-1)
     for value in ("no", "false", 0, 1, None):
         with pytest.raises(ValueError, match="early_stop must be true or false"):
             SamplerConfig(early_stop=value)
