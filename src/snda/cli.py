@@ -11,8 +11,8 @@ from typing import Callable
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import (ConfigError, RunConfig, integer, numbers, parse_config_file,
-                     set_key)
+from .config import (ConfigError, RunConfig, integer, parse_config_file, set_key,
+                     temperatures)
 from .data import PAD, Vocab, encode, decode, load_corpus, TokenSeq
 from .evaluation import draw_samples, exact_match, quality_diversity_curve, strip_pad, translate
 from .experiments import (ABLATION_SAMPLER, ablation_report, bench_report,
@@ -140,9 +140,18 @@ def cmd_sample(cfg: RunConfig) -> int:
 def cmd_translate(cfg: RunConfig) -> int:
     model = _load_model(cfg)
     vocab = _load_vocab(cfg)
+    N_source = model.config.N_source
+    sources = []
     with open(_require(cfg, "input"), encoding="utf-8") as f:
-        sources = [encode(ln.rstrip("\n"), vocab, model.config.N_source)
-                   for ln in f if ln.strip()]
+        for lineno, line in enumerate(f, 1):
+            text = line.rstrip("\n")
+            if not text.strip():
+                continue
+            n = len(Vocab.split(text, vocab.kind))
+            if n > N_source:
+                raise ConfigError(f"--input line {lineno} has {n} tokens; "
+                                  f"the model's N_source is {N_source}")
+            sources.append(encode(text, vocab, N_source))
     bests = translate(model, sources, _sampler_cfg(cfg))
     _emit(cfg, [_text(strip_pad(best), vocab) for best in bests])
     return 0
@@ -152,19 +161,20 @@ def cmd_inpaint(cfg: RunConfig) -> int:
     model = _load_model(cfg)
     vocab = _load_vocab(cfg)
     text = _require(cfg, "template")
-    parts = list(text) if vocab.kind == "char" else text.split()
+    parts = Vocab.split(text, vocab.kind)
     N = model.config.N
+    if len(parts) > N:
+        raise ConfigError(f"--template has {len(parts)} tokens; the model's N is {N}")
     tokens = np.full(N, PAD, dtype=np.int64)
     clamp = np.ones(N, dtype=bool)
-    for i, part in enumerate(parts[:N]):
+    for i, part in enumerate(parts):
         if part == "*":
             clamp[i] = False
         else:
             tokens[i] = vocab.id_of(part)
     scfg = _sampler_cfg(cfg)
     final = sample_chain(model, scfg, init=Template(tokens, clamp)).states[-1]
-    n = min(len(parts), N)
-    _emit(cfg, [decode(TokenSeq(final, n), vocab)])
+    _emit(cfg, [decode(TokenSeq(final, len(parts)), vocab)])
     return 0
 
 
@@ -180,7 +190,7 @@ def cmd_eval_task(cfg: RunConfig) -> int:
 
 
 def cmd_eval_corpus(cfg: RunConfig) -> int:
-    temps = numbers("temps", _require(cfg, "temps"))
+    temps = temperatures("temps", _require(cfg, "temps"))
     count = _count(cfg, 50, least=2)    # self-BLEU scores each sample against the others
     model = _load_model(cfg)
     scfg = _sampler_cfg(cfg)
@@ -206,7 +216,7 @@ def cmd_bench(cfg: RunConfig) -> int:
                               f"holds an {model.config.mode} model")
     else:
         mcfg = desk_model_config(mode="unconditional",
-                                 **{"v": 32, "N": 64, "dropout": 0.0, **cfg.model})
+                                 **{"v": 32, "N": 64, **cfg.model})
         model = init_model(mcfg, np.random.default_rng(seed))
     T_values = [integer("steps", t) for t in str(cfg.get("steps", "4,8,10,16")).split(",")]
     text, _ = bench_report(model, T_values, batch=count, seed=seed)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .evaluation import curve_temperatures
 from .model import ModelConfig
 from .numerics import finite
 from .sampling import SamplerConfig
@@ -61,10 +62,10 @@ def integer(key: str, value) -> int:
     return value
 
 
-def numbers(key: str, value) -> list:
-    """The comma-separated setting `key` as a list of finite floats."""
+def temperatures(key: str, value) -> list[float]:
+    """The comma-separated setting `key` as a quality-diversity curve's temperatures."""
     try:
-        return [float(finite(key, _convert(part))) for part in str(value).split(",")]
+        return curve_temperatures(finite(key, _convert(part)) for part in str(value).split(","))
     except ValueError as e:
         raise ConfigError(str(e)) from None
 

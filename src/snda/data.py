@@ -48,12 +48,17 @@ class Vocab:
     def token_of(self, idx: int) -> str:
         return self._id_to_tok[idx]
 
+    @staticmethod
+    def split(text: str, kind: str) -> list[str]:
+        """The tokens of text: its characters for kind "char", its
+        whitespace-separated words for kind "word"."""
+        return list(text) if kind == "char" else text.split()
+
     @classmethod
     def from_corpus(cls, lines: list[str], kind: str = "char") -> "Vocab":
         seen: dict[str, None] = {}
         for line in lines:
-            parts = line if kind == "char" else line.split()
-            for t in parts:
+            for t in cls.split(line, kind):
                 seen.setdefault(t, None)
         return cls(sorted(seen), kind=kind)
 
@@ -107,8 +112,7 @@ def encode(text: str, vocab: Vocab, N: int) -> TokenSeq:
         raise ValueError("N must be >= 1")
     if vocab.size <= 2:
         raise ValueError("vocab holds no content tokens")
-    parts = list(text) if vocab.kind == "char" else text.split()
-    ids = [vocab.id_of(t) for t in parts][:N]
+    ids = [vocab.id_of(t) for t in Vocab.split(text, vocab.kind)][:N]
     out = np.full(N, PAD, dtype=np.int64)
     out[: len(ids)] = ids
     return TokenSeq(out, content_len=len(ids))

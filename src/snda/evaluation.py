@@ -213,6 +213,15 @@ def draw_samples(model, sampler_cfg: SamplerConfig, count: int,
     return out
 
 
+def curve_temperatures(temperatures) -> list[float]:
+    """The temperatures of a quality-diversity curve as floats, if they are
+    a nonempty ascending list of positive numbers; otherwise a ValueError."""
+    temps = [float(tau) for tau in temperatures]
+    if not (temps and all(tau > 0 for tau in temps) and sorted(temps) == temps):
+        raise ValueError(f"temperatures must be nonempty, positive and ascending, got {temps}")
+    return temps
+
+
 def quality_diversity_curve(model, temperatures: list[float],
                             samples_per_temp: int, reference_corpus: list,
                             sampler_cfg: SamplerConfig | None = None,
@@ -226,24 +235,21 @@ def quality_diversity_curve(model, temperatures: list[float],
     the references, the second half against itself by self-BLEU. The
     references' clip table is built once for all temperatures.
     """
-    if not temperatures:
-        raise ValueError("temperatures must be nonempty")
-    if sorted(temperatures) != list(temperatures):
-        raise ValueError("temperatures must be sorted ascending")
+    temperatures = curve_temperatures(temperatures)
     base = sampler_cfg or SamplerConfig(T=16, temperature=1.0,
                                         update_fraction=0.3, early_stop=True)
     bleu_cfg = bleu_cfg or BleuConfig()
     refs = ClipTable.build(reference_corpus, bleu_cfg.max_order)
     points = []
     for k, tau in enumerate(temperatures):
-        cfg = replace(base, temperature=float(tau))
+        cfg = replace(base, temperature=tau)
         offset = seed + 7919 * k
         drawn = draw_samples(model, cfg, 2 * samples_per_temp, offset)
         quality_set = [h for h in drawn[:samples_per_temp] if h]
         diversity_set = [h for h in drawn[samples_per_temp:] if h]
         q = corpus_bleu(quality_set, [refs] * len(quality_set), bleu_cfg) if quality_set else 0.0
         d = self_bleu(diversity_set, bleu_cfg) if len(diversity_set) >= 2 else 0.0
-        points.append(QDPoint(temperature=float(tau), quality_bleu=q, self_bleu=d))
+        points.append(QDPoint(temperature=tau, quality_bleu=q, self_bleu=d))
     return points
 
 

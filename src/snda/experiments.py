@@ -19,10 +19,9 @@ from .sampling import SamplerConfig, sample_chains
 from .training import TrainConfig, averaged_model, make_train_state, train_loop
 
 
-def desk_model_config(v: int, N: int, mode: str, N_source: int | None = None,
-                      dropout: float = 0.1, **overrides) -> ModelConfig:
+def desk_model_config(v: int, N: int, mode: str, **overrides) -> ModelConfig:
     kwargs = dict(v=v, N=N, layers=2, d_model=64, heads=4, d_ff=256,
-                  dropout=dropout, mode=mode, N_source=N_source, d_LP=64)
+                  dropout=0.0, mode=mode, d_LP=64)
     kwargs.update(overrides)
     return ModelConfig(**kwargs)
 
@@ -49,7 +48,7 @@ def _train(v: int, N: int, mode: str, model_overrides: dict | None, batch_fn,
            seed: int, total_steps: int, batch_size: int, log_fn,
            log_every: int = 50, **train_overrides) -> DenoiserModel:
     """Desk-config model (dropout off unless overridden), trained and averaged."""
-    mcfg = desk_model_config(v, N, mode, **{"dropout": 0.0, **(model_overrides or {})})
+    mcfg = desk_model_config(v, N, mode, **(model_overrides or {}))
     model = init_model(mcfg, np.random.default_rng(seed))
     tcfg = desk_train_config(total_steps, batch_size, seed, **train_overrides)
     state = make_train_state(model, tcfg)

@@ -1,14 +1,14 @@
-"""Dense arrays with reverse-mode differentiation.
+"""Float arrays with reverse-mode differentiation.
 
-Just enough machinery for a small non-causal transformer: elementwise
-ops, matmul, layer norm, embedding gather/scatter, cross-entropy, and
-three whole-sublayer ops that each record one tape node with an analytic
-backward: `linear` (x @ W + b), `ffn` (linear, ReLU, linear) and
-`attention` (multi-head attention with its projections). Their weight
-products run as 2-D GEMMs over every row of the batch at once, so a
-weight gradient is one xᵀg product. Values are numpy arrays (float32 for
-training, float64 allowed in tests and oracles); gradients are
-accumulated by walking the tape in reverse topological order.
+Just the ops a small non-causal transformer and its loss record: add,
+multiply, reshape, concat, layer norm, embedding gather/scatter,
+cross-entropy, and three whole-sublayer ops that each record one tape node
+with an analytic backward: `linear` (x @ W + b), `ffn` (linear, ReLU,
+linear) and `attention` (multi-head attention with its projections). Their
+weight products are 2-D GEMMs over every row of the batch, so a weight
+gradient is one xᵀg product. Values are float32 (training) or float64
+(tests, oracles) numpy arrays; gradients accumulate in reverse
+topological order of the tape.
 """
 
 from __future__ import annotations
@@ -50,38 +50,31 @@ def check_finite_fields(cfg):
             finite(f.name, getattr(cfg, f.name))
 
 
-def _as_array(x, dtype):
-    if isinstance(x, np.ndarray):
-        return x.astype(dtype, copy=False)
-    return np.asarray(x, dtype=dtype)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to `shape` (inverse of numpy broadcasting)."""
+    """Sum grad over its leading axes beyond `shape`, the one broadcast the
+    model makes (position embeddings, layer-norm gains and biases)."""
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
 class Tensor:
-    """A numpy array plus an optional gradient slot and a backward closure."""
+    """A float32 or float64 array plus an optional gradient and backward closure."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad=False, dtype=None, _parents=()):
-        if isinstance(data, Tensor):
-            data = data.data
-        self.data = _as_array(data, dtype or getattr(data, "dtype", np.float32))
-        if self.data.dtype not in (np.float32, np.float64):
-            self.data = self.data.astype(np.float32)
+    def __init__(self, data: np.ndarray, requires_grad: bool = False):
+        # numpy returns a 0-d result (a loss, a sum) as a scalar
+        if not (isinstance(data, (np.ndarray, np.floating))
+                and data.dtype in (np.float32, np.float64)):
+            raise TypeError(f"Tensor data must be a float32 or float64 array, got "
+                            f"{type(data).__name__} {getattr(data, 'dtype', '')}")
+        self.data = np.asarray(data)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = requires_grad
         self._backward = None
-        self._parents = _parents
+        self._parents = ()
 
     @property
     def shape(self):
@@ -145,8 +138,6 @@ class Tensor:
             out._backward = bwd
         return out
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = self._coerce(other)
         out = _make(self.data * other.data, (self, other))
@@ -159,26 +150,8 @@ class Tensor:
             out._backward = bwd
         return out
 
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        other = self._coerce(other)
-        out = _make(np.matmul(self.data, other.data), (self, other))
-        if out.requires_grad:
-            def bwd(g):
-                if self.requires_grad:
-                    ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
-                    self._accumulate(_unbroadcast(ga, self.data.shape))
-                if other.requires_grad:
-                    gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
-                    other._accumulate(_unbroadcast(gb, other.data.shape))
-            out._backward = bwd
-        return out
-
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out = _make(self.data.reshape(shape), (self,))
+        out = _make(self.data.reshape(*shape), (self,))
         if out.requires_grad:
             out._backward = lambda g: self._accumulate(g.reshape(self.data.shape))
         return out
@@ -191,12 +164,6 @@ class Tensor:
                     g = np.expand_dims(g, axis)
                 self._accumulate(np.broadcast_to(g, self.data.shape))
             out._backward = bwd
-        return out
-
-    def relu(self):
-        out = _make(np.maximum(self.data, 0), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * (self.data > 0))
         return out
 
 
@@ -216,7 +183,10 @@ def no_grad():
 
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
     req = _recording.get() and any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, _parents=parents if req else ())
+    out = Tensor(data, requires_grad=req)
+    if req:
+        out._parents = parents
+    return out
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -324,8 +294,6 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0) -> Tens
     """
     if not 0.0 <= label_smoothing < 1.0:
         raise ValueError(f"label_smoothing must be in [0, 1), got {label_smoothing}")
-    if not isinstance(logits, Tensor):
-        logits = Tensor(logits)
     v = logits.data.shape[-1]
     flat = logits.data.reshape(-1, v)
     tgt = np.asarray(targets).reshape(-1)

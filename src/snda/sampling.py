@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Conditioning, DenoiserModel, denoise_logits
-from .numerics import (check_finite_fields, cross_entropy, log_softmax_array, nll_array,
-                       no_grad, row_max, seed_value, softmax_array)
+from .numerics import (check_finite_fields, log_softmax_array, nll_array, no_grad, row_max,
+                       seed_value, softmax_array)
 from .training import inverse_cdf
 
 
@@ -208,9 +208,10 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
         for k, b in enumerate(active):
             traces[b].states.append(y[k].copy())
             traces[b].changed.append(int(n_changed[k]))
-        if cfg.early_stop:
+        # a step that resampled nothing (triangular, T > 2N) says nothing of convergence
+        if cfg.early_stop and logits is not None:
             stopped = n_changed == 0
-            if logits is not None and stopped.any():
+            if stopped.any():
                 for b, score in zip(active[stopped], _chain_scores(logits[stopped], y[stopped])):
                     traces[b].final_score = score
             active = active[~stopped]
@@ -233,11 +234,13 @@ def sample_chain(model: DenoiserModel, cfg: SamplerConfig,
     return sample_chains(model, cfg, [cfg.seed], init, cond)[0]
 
 
+@no_grad()
 def model_score(model: DenoiserModel, y: np.ndarray,
                 cond: Conditioning | None = None) -> float:
-    """Self-reconstruction cross-entropy of y under the model; lower is better."""
-    logits = denoise_logits(model, np.asarray(y, dtype=np.int64), cond)
-    return cross_entropy(logits, y).item()
+    """A chain's final score of y [N], its self-reconstruction cross-entropy;
+    lower is better."""
+    y = np.asarray(y, dtype=np.int64)
+    return _chain_scores(denoise_logits(model, y, cond).data, y)
 
 
 def rerank_seeds(seed: int, width: int) -> list[int]:
@@ -271,14 +274,19 @@ def transition_matrix(model: DenoiserModel,
     return M
 
 
+MAX_EXACT_STATES = 4096     # v**N past one step: a 134 MB float64 matrix, v=4 N=6
+
+
 def exact_chain_prob(model: DenoiserModel, x0: np.ndarray, x: np.ndarray,
                      t: int, cond: Conditioning | None = None) -> float:
-    """p_t(x | x0) by exact enumeration over intermediate sequences."""
+    """p_t(x | x0) by exact enumeration over intermediate sequences: the
+    row of x0 in the transition matrix, times the matrix t - 1 times."""
     cfg = model.config
     if t < 1:
         raise ValueError("t must be >= 1")
-    if t > 1 and cfg.v ** (cfg.N * (t - 1)) > 10 ** 6:
-        raise ValueError("instance too large for exact enumeration")
+    if t > 1 and cfg.v ** cfg.N > MAX_EXACT_STATES:
+        raise ValueError(f"instance too large for exact enumeration: {cfg.v ** cfg.N} "
+                         f"sequences, at most {MAX_EXACT_STATES} past one step")
     x0 = np.asarray(x0, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     if t == 1:
@@ -289,5 +297,7 @@ def exact_chain_prob(model: DenoiserModel, x0: np.ndarray, x: np.ndarray,
     powers = np.asarray([cfg.v ** (cfg.N - 1 - i) for i in range(cfg.N)])
     i0 = int((x0 * powers).sum())
     i1 = int((x * powers).sum())
-    row = np.linalg.matrix_power(M, t)[i0]
+    row = M[i0]
+    for _ in range(t - 1):
+        row = row @ M
     return float(row[i1])

@@ -283,6 +283,36 @@ def test_temps_take_finite_numbers_only(tiny_ckpts, capsys, temps):
     assert sorted(os.listdir(".")) == before
 
 
+@pytest.mark.parametrize("temps", ["0,1", "-1", "1.5,0.2"])
+def test_temps_out_of_rule_are_usage_errors(tiny_ckpts, capsys, temps):
+    # junk.ckpt would fail if read: the temperatures are checked first
+    (tiny_ckpts / "junk.ckpt").write_bytes(b"XXXXnothing")
+    before = sorted(os.listdir("."))
+    argv = f"eval --checkpoint junk.ckpt --corpus corpus.txt --temps {temps} --count 2 --steps 1"
+    assert run(argv.split() + ["--out", "report.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and (
+        "error: temperatures must be nonempty, positive and ascending" in captured.err)
+    assert sorted(os.listdir(".")) == before
+
+
+def test_decoding_refuses_text_longer_than_the_model(tiny_ckpts, capsys):
+    # both models hold N = N_source = 8 positions
+    argv = "inpaint --checkpoint lm.ckpt --steps 1 --template " + "a*" * 5
+    assert run(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--template has 10 tokens; the model's N is 8" in captured.err
+    (tiny_ckpts / "long.txt").write_text("abc\n\nabcdefabc\n")
+    assert run("translate --checkpoint mt.ckpt --input long.txt --steps 1".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and (
+        "--input line 3 has 9 tokens; the model's N_source is 8" in captured.err)
+    # a template of exactly N positions fills all of them
+    assert run("inpaint --checkpoint lm.ckpt --steps 1 --template a*a*a*a*".split()) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert len(line) == 8 and line[::2] == "aaaa"
+
+
 @pytest.mark.parametrize("dtype", ["float16", "banana", "int32"])
 def test_train_rejects_dtype_the_tape_cannot_hold(in_tmp, capsys, dtype):
     assert run(TRAIN_TASK + ["--model.dtype", dtype]) == 2

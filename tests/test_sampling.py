@@ -1,13 +1,14 @@
 """Chain sampling: steps, schedules, clamping, reranking, exact oracle."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from snda.model import build_conditioning, denoise_logits
+from snda.model import ModelConfig, build_conditioning, denoise_logits, init_model
 from snda.numerics import NumericError
 from snda.sampling import (SamplerConfig, Template,
                            argmax_unrolled_step, exact_chain_prob, model_score,
@@ -282,6 +283,49 @@ def test_exact_chain_prob_guards(micro_model, tiny_model):
     with pytest.raises(ValueError):
         exact_chain_prob(tiny_model, np.zeros(8, dtype=int),
                          np.zeros(8, dtype=int), 2)  # 8^8 states: too large
+
+
+def test_exact_chain_prob_bounds_the_matrix_it_builds(micro_model, monkeypatch):
+    import snda.sampling as sampling
+    M = transition_matrix(micro_model)
+    x0, x = np.array([2, 0]), np.array([1, 2])
+    for t in (2, 3):
+        want = np.linalg.matrix_power(M, t)[2 * 3 + 0, 1 * 3 + 2]
+        assert exact_chain_prob(micro_model, x0, x, t) == pytest.approx(want, abs=1e-12)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("transition matrix built")
+    monkeypatch.setattr(sampling, "transition_matrix", unbuilt)
+    # 4^8 = 65,536 sequences: a 34 GB matrix, refused before it is built
+    model = init_model(ModelConfig(v=4, N=8, layers=1, d_model=8, heads=2, d_ff=8,
+                                   dropout=0.0), 0)
+    zeros = np.zeros(8, dtype=np.int64)
+    with pytest.raises(ValueError, match="65536 sequences, at most 4096"):
+        exact_chain_prob(model, zeros, zeros, 2)
+    assert exact_chain_prob(model, zeros, zeros, 1) == pytest.approx(0.25 ** 8)
+
+
+@pytest.mark.parametrize("cfg", [
+    # T > 2N: the first and last steps resample no position
+    SamplerConfig(T=20, schedule="triangular", temperature=0.03),
+    SamplerConfig(T=10, schedule="triangular", temperature=0.03),
+    SamplerConfig(T=8, temperature=0.03, update_fraction=0.5),
+], ids=["triangular-T20", "triangular-T10", "half"])
+def test_early_stop_ends_a_chain_only_after_a_step_that_changed_nothing(tiny_model, cfg):
+    seeds = range(8)
+    stopped = sample_chains(tiny_model, cfg, seeds)
+    whole = sample_chains(tiny_model, replace(cfg, early_stop=False), seeds)
+    ended = 0
+    for trace, full in zip(stopped, whole):
+        n = len(trace.states)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.states, full.states[:n]))
+        assert trace.changed == full.changed[:n - 1]
+        if n < cfg.T + 1:
+            ended += 1
+            resampled = (triangular_count(n - 1, cfg.T, 8) if cfg.schedule == "triangular"
+                         else math.ceil(cfg.update_fraction * 8))
+            assert trace.changed[-1] == 0 and resampled > 0
+    assert ended > 0
 
 
 def test_encoder_decoder_chain_requires_cond(tiny_encdec):
