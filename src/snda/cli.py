@@ -142,18 +142,20 @@ def cmd_translate(cfg: RunConfig) -> int:
     vocab = _load_vocab(cfg)
     N_source = model.config.N_source
     sources = []
+    blank = []      # a blank input line gets an empty output line in its place
     with open(_require(cfg, "input"), encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             text = line.rstrip("\n")
-            if not text.strip():
+            blank.append(not text.strip())
+            if blank[-1]:
                 continue
             n = len(Vocab.split(text, vocab.kind))
             if n > N_source:
                 raise ConfigError(f"--input line {lineno} has {n} tokens; "
                                   f"the model's N_source is {N_source}")
             sources.append(encode(text, vocab, N_source))
-    bests = translate(model, sources, _sampler_cfg(cfg))
-    _emit(cfg, [_text(strip_pad(best), vocab) for best in bests])
+    bests = iter(translate(model, sources, _sampler_cfg(cfg)))
+    _emit(cfg, ["" if b else _text(strip_pad(next(bests)), vocab) for b in blank])
     return 0
 
 

@@ -44,7 +44,7 @@ class QDPoint:
 
 
 def _ngrams(tokens, n) -> Counter:
-    return Counter(tuple(tokens[i: i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 class ClipTable(NamedTuple):

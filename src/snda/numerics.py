@@ -70,7 +70,7 @@ class Tensor:
                 and data.dtype in (np.float32, np.float64)):
             raise TypeError(f"Tensor data must be a float32 or float64 array, got "
                             f"{type(data).__name__} {getattr(data, 'dtype', '')}")
-        self.data = np.asarray(data)
+        self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
         self._backward = None
@@ -215,13 +215,25 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     return out
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) without `ndarray.mean`'s Python wrapper."""
+    s = np.add.reduce(a, -1, keepdims=True)
+    return np.true_divide(s, np.intp(a.shape[-1]), out=s, casting="unsafe")
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = _make(xhat * gain.data + bias.data, (x, gain, bias))
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, as a
+    fresh array: the `ndarray.mean` formula bit for bit, each step after the
+    centring in place on the node's own temporaries."""
+    xc = x.data - _row_mean(x.data)
+    inv = _row_mean(xc * xc)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.true_divide(1.0, inv, out=inv)
+    xhat = np.multiply(xc, inv, out=xc)
+    y = xhat * gain.data
+    y += bias.data
+    out = _make(y, (x, gain, bias))
     if out.requires_grad:
         def bwd(g):
             d = x.data.shape[-1]
@@ -251,17 +263,23 @@ def row_max(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_array(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Stable softmax over the last axis of a raw array (max-subtraction
-    before exponentiation)."""
+    """Stable softmax of logits / temperature over the last axis of a raw
+    array (max-subtraction before exponentiation), as a fresh float32 or
+    wider array; the input is left as it is. Temperature 1 divides nothing:
+    x / 1.0 is x."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    logits = np.asarray(logits, dtype=np.result_type(logits, np.float32))
+    logits = np.asarray(logits, dtype=np.result_type(logits, np.float32, temperature))
     if not np.all(np.isfinite(logits)):
         raise NumericError("softmax: non-finite logits")
-    z = logits / temperature
-    z = z - row_max(z)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    if temperature == 1:
+        z = logits - row_max(logits)
+    else:
+        z = logits / temperature
+        z -= row_max(z)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, -1, keepdims=True)
+    return z
 
 
 def log_softmax_array(logits: np.ndarray) -> np.ndarray:

@@ -206,7 +206,7 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
         n_changed = (y != rows).sum(axis=1)
         x[active] = y
         for k, b in enumerate(active):
-            traces[b].states.append(y[k].copy())
+            traces[b].states.append(y[k])     # each step's y is fresh and never written again
             traces[b].changed.append(int(n_changed[k]))
         # a step that resampled nothing (triangular, T > 2N) says nothing of convergence
         if cfg.early_stop and logits is not None:
@@ -249,10 +249,10 @@ def rerank_seeds(seed: int, width: int) -> list[int]:
 
 
 def rerank(traces: list[ChainTrace]):
-    """The final state of the chain with the lowest final score (ties break
-    at the lowest index), and every chain's final score."""
+    """A copy of the final state of the chain with the lowest final score (ties
+    break at the lowest index; a copy holds no step array), and every score."""
     scores = [trace.final_score for trace in traces]
-    return traces[int(np.argmin(scores))].states[-1], scores
+    return traces[int(np.argmin(scores))].states[-1].copy(), scores
 
 
 def _all_states(v: int, N: int) -> np.ndarray:

@@ -439,6 +439,19 @@ def test_translate_prints_evaluation_translate(tiny_ckpts, tiny_encdec, capsys):
     assert capsys.readouterr().out.splitlines() == want
 
 
+def test_translate_answers_a_blank_input_line_with_an_empty_line(tiny_ckpts, tiny_encdec, capsys):
+    (tiny_ckpts / "gaps.txt").write_text("abc\n\nfed\n")
+    assert run(["translate", "--checkpoint", "mt.ckpt", "--input", "gaps.txt", "--steps", "3",
+                "--seed", "5"]) == 0
+    vocab = Vocab.load("mt.ckpt.vocab")
+    # the blank line takes no source index, so "fed" decodes as source 1
+    bests = evaluation.translate(tiny_encdec, [encode(text, vocab, 8) for text in ("abc", "fed")],
+                                 SamplerConfig(T=3, seed=5))
+    first, second = [decode(TokenSeq(best, len(evaluation.strip_pad(best))), vocab)
+                     for best in bests]
+    assert capsys.readouterr().out.splitlines() == [first, "", second]
+
+
 def _quick_start_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,6 +41,19 @@ def test_bleu_hand_computed_precisions():
 
 def test_bleu_zero_precision_zeroes_score():
     assert bleu([["a", "b", "c", "d"]], [["e", "f", "g", "h"]]) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=st.lists(st.integers(0, 3), max_size=12) | st.lists(st.sampled_from("ab."), max_size=12),
+       as_tuple=st.booleans(), data=st.data())
+def test_ngrams_equal_the_slice_reference(tokens, as_tuple, data):
+    tokens = tuple(tokens) if as_tuple else tokens
+    n = data.draw(st.integers(1, len(tokens) + 2))
+    want = Counter(tuple(tokens[i: i + n]) for i in range(len(tokens) - n + 1))
+    got = evaluation._ngrams(tokens, n)
+    # same counts, keys and insertion order
+    assert list(got.items()) == list(want.items())
+    assert all(type(g) is tuple for g in got)
 
 
 def test_corpus_bleu_multi_reference_clipping():

@@ -81,8 +81,10 @@ def test_cross_entropy_rejects_bad_targets():
 def test_softmax_array_errors_and_stability():
     with pytest.raises(ValueError):
         softmax_array(np.zeros(3), temperature=0.0)
-    with pytest.raises(NumericError):
-        softmax_array(np.array([np.nan, 0.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        for tau in (1.0, 0.5):
+            with pytest.raises(NumericError):
+                softmax_array(np.array([bad, 0.0], dtype=np.float32), tau)
     big = softmax_array(np.array([1e4, 0.0]))
     assert np.isfinite(big).all() and big.sum() == pytest.approx(1.0)
 
@@ -110,7 +112,7 @@ def _bits(a: np.ndarray) -> np.ndarray:
 @settings(max_examples=300, deadline=None)
 @given(dtype=st.sampled_from([np.float32, np.float64]),
        lead=st.lists(st.integers(0, 3), max_size=3), n=st.integers(1, 40),
-       tau=st.sampled_from([1.0, 0.3, 2.5]), data=st.data())
+       tau=st.sampled_from([1.0, 0.3, 2.5, np.float64(1.0)]), data=st.data())
 def test_row_max_and_softmaxes_equal_the_last_axis_reduce(dtype, lead, n, tau, data):
     shape = tuple(lead) + (n,)
     # few distinct values, so rows tie; signed zeros and masked entries
@@ -130,10 +132,40 @@ def test_row_max_and_softmaxes_equal_the_last_axis_reduce(dtype, lead, n, tau, d
     z = x / tau
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    assert np.array_equal(_bits(softmax_array(x, tau)), _bits(e / e.sum(axis=-1, keepdims=True)))
+    before = x.copy()
+    p = softmax_array(x, tau)
+    assert np.array_equal(_bits(p), _bits(e / e.sum(axis=-1, keepdims=True)))
+    # a fresh array; the input is left as it was
+    assert not np.shares_memory(p, x) and np.array_equal(_bits(x), _bits(before))
     z = x - want
     log_p = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     assert np.array_equal(_bits(log_softmax_array(x)), _bits(log_p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       lead=st.sampled_from([(1,), (7,), (3, 5)]), d=st.sampled_from([1, 64]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_layer_norm_equals_the_mean_formula(dtype, lead, d, scale, seed):
+    rng = np.random.default_rng(seed)
+    x, g, b = (Tensor((scale * rng.standard_normal(shape) + rng.standard_normal()).astype(dtype),
+                      requires_grad=True) for shape in (lead + (d,), (d,), (d,)))
+    before = x.data.copy()
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+    want = xc * inv * g.data + b.data
+    y = layer_norm(x, g, b)
+    assert y.dtype == want.dtype and np.array_equal(_bits(y.data), _bits(want))
+    assert np.array_equal(_bits(x.data), _bits(before))
+    with no_grad():
+        assert np.array_equal(_bits(layer_norm(x, g, b).data), _bits(want))
+
+
+def test_layer_norm_propagates_a_nan_row_to_that_row_only():
+    x = np.random.default_rng(0).standard_normal((3, 8)).astype(np.float32)
+    x[1, 2] = np.nan
+    y = layer_norm(Tensor(x), Tensor(np.ones(8, np.float32)), Tensor(np.zeros(8, np.float32)))
+    assert np.isnan(y.data[1]).all() and np.isfinite(y.data[[0, 2]]).all()
 
 
 def test_dropout_train_scaling():

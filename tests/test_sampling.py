@@ -328,6 +328,24 @@ def test_early_stop_ends_a_chain_only_after_a_step_that_changed_nothing(tiny_mod
     assert ended > 0
 
 
+@pytest.mark.parametrize("strategy", ["low_temp", "argmax_unrolled"])
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("clamped", [0, 4, 8])
+def test_chain_states_and_the_reranked_best_share_no_memory(tiny_model, strategy, early_stop,
+                                                            clamped):
+    cfg = SamplerConfig(T=8, temperature=0.03, strategy=strategy, update_fraction=0.5,
+                        early_stop=early_stop)
+    init = Template(np.arange(8), np.arange(8) < clamped) if clamped else None
+    traces = sample_chains(tiny_model, cfg, range(8), init)
+    if early_stop and clamped < 8:
+        assert any(len(trace.states) < cfg.T + 1 for trace in traces)
+    states = [state for trace in traces for state in trace.states]
+    for a, b in itertools.combinations(states, 2):
+        assert not np.shares_memory(a, b)
+    # the reranked best holds no chain batch's step array
+    assert not any(np.shares_memory(rerank(traces)[0], state) for state in states)
+
+
 def test_encoder_decoder_chain_requires_cond(tiny_encdec):
     with pytest.raises(ValueError):
         sample_chain(tiny_encdec, SamplerConfig(T=2))
