@@ -259,11 +259,12 @@ def translate(model, sources, sampler_cfg: SamplerConfig,
     """Best reranked chain state for each source (a TokenSeq); source i
     decodes with sampler seed `sampler_cfg.seed + 65537 * i`.
 
-    Sources are encoded together, and the reranked chains of every source
-    run as one batch (a group of sources at a time, at most CHAIN_ROWS
-    chains). With use_length_pred off the conditioning carries a constant
-    length embedding instead of the classifier's argmax (the ablation's
-    "no length prediction" arm).
+    Sources are encoded together, and their reranked chains run as one
+    batch per group of CHAIN_ROWS // rerank_width sources, so at most
+    CHAIN_ROWS chains; a rerank_width past CHAIN_ROWS decodes one source,
+    and its rerank_width chains, at a time. With use_length_pred off the
+    conditioning carries a constant length embedding instead of the
+    classifier's argmax (the ablation's "no length prediction" arm).
     """
     width = sampler_cfg.rerank_width
     group = max(1, CHAIN_ROWS // width)

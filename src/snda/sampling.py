@@ -4,9 +4,9 @@ Chains start from uniform-random tokens (or a clamped template) and apply
 the denoiser repeatedly: stochastic low-temperature steps, a deterministic
 argmax variant that re-unrolls the least-certain positions, partial-token
 updates with a triangular schedule, and model-score reranking over
-parallel chains. Chains run batched in lockstep, one forward per step for
-all of them, with no autodiff tape. Tiny instances get an exact
-enumeration oracle.
+parallel chains. Chains run batched in lockstep, one forward per step over
+the distinct (conditioning, state) rows of all of them, with no autodiff
+tape. Tiny instances get an exact enumeration oracle.
 """
 
 from __future__ import annotations
@@ -155,6 +155,39 @@ def _chain_scores(logits: np.ndarray, y: np.ndarray) -> list[float]:
     return (nll.sum(axis=-1) / logits.dtype.type(y.shape[-1])).tolist()
 
 
+def _cond_groups(cond: Conditioning | None, B: int) -> list[int]:
+    """Per chain, the index of its conditioning row among the distinct ones,
+    in order of first appearance. Byte-equal rows give identical forward
+    inputs; without conditioning every chain is in group 0."""
+    if cond is None:
+        return [0] * B
+    seen = {}
+    return [seen.setdefault(memory.tobytes() + mask.tobytes(), len(seen))
+            for memory, mask in zip(cond.memory.data, cond.key_mask)]
+
+
+def _take(cond: Conditioning | None, chains: np.ndarray) -> Conditioning | None:
+    return cond if cond is None or len(chains) == len(cond.key_mask) else cond.take(chains)
+
+
+def _distinct_logits(model: DenoiserModel, x: np.ndarray, chains: np.ndarray,
+                     cond: Conditioning | None, groups: list[int]) -> np.ndarray:
+    """Denoiser logits [len(chains), N, v] of the states x of the given
+    chains (distinct, ascending), from one forward over the distinct (conditioning
+    group, state) rows among them. Rows of the forward are independent, so
+    each chain gets the logits it would get alone."""
+    if len(chains) > 1:
+        slots, pick, inverse = {}, [], []
+        for k, (b, row) in enumerate(zip(chains, x)):
+            j = slots.setdefault((groups[b], row.tobytes()), len(pick))
+            if j == len(pick):
+                pick.append(k)
+            inverse.append(j)
+        if len(pick) < len(x):
+            return denoise_logits(model, x[pick], _take(cond, chains[pick])).data[inverse]
+    return denoise_logits(model, x, _take(cond, chains)).data
+
+
 @no_grad()
 def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
                   init: Template | None = None,
@@ -164,43 +197,56 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
 
     Chain b draws from its own rng seeded seeds[b], so it equals the chain
     that runs alone with that seed. Each step is one denoiser forward over
-    the chains still running and, for low_temp, one tempered softmax over
-    the positions they resample; only the rng draws run chain by chain.
-    Chains that stop early leave the batch and are scored together with the
-    logits their last step computed, since their final states are that
-    step's inputs; the other chains share one scoring forward at the end.
-    `cond` holds one row per chain; no seeds give no traces.
+    the distinct (conditioning row, state) pairs of the chains still
+    running, whose logits chains with equal pairs share, and, for low_temp,
+    one tempered softmax over the positions they resample; only the rng
+    draws run chain by chain. Chains that stop early leave the batch and are
+    scored together with the logits their last step computed, since their
+    final states are that step's inputs; the other chains share one scoring
+    forward at the end, over their distinct pairs too. `cond` holds one row
+    per chain; no seeds give no traces. A template must have the model's
+    length N, and its clamped ids must lie in [0, v).
     """
     mcfg = model.config
     if mcfg.mode == "encoder_decoder" and cond is None:
         raise ValueError("encoder_decoder mode requires conditioning")
+    clamp = init.clamp_mask if init is not None else None
+    if clamp is not None:
+        if init.tokens.shape != (mcfg.N,):
+            raise ValueError(f"template of shape {init.tokens.shape} for a model of "
+                             f"sequence length {mcfg.N}")
+        fixed = init.tokens[clamp]
+        if len(fixed) and not (fixed.min() >= 0 and fixed.max() < mcfg.v):
+            bad = np.unique(fixed[(fixed < 0) | (fixed >= mcfg.v)]).tolist()
+            raise ValueError(f"clamped template ids {bad} out of range [0, {mcfg.v})")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     B = len(rngs)
     if cond is not None and len(cond.key_mask) != B:
         raise ValueError("conditioning needs one row per chain")
-    clamp = init.clamp_mask if init is not None else None
+    groups = _cond_groups(cond, B)
     n_free = mcfg.N if clamp is None else int((~clamp).sum())
     x = np.array([rng.integers(0, mcfg.v, size=mcfg.N) for rng in rngs],
                  dtype=np.int64).reshape(B, mcfg.N)
     if clamp is not None:
-        x[:, clamp] = init.tokens[clamp]
+        x[:, clamp] = fixed
     traces = [ChainTrace(states=[row.copy()], changed=[]) for row in x]
     active = np.arange(B)
     lam = None          # argmax_unrolled: every chain's latest step logits
     for t in range(1, cfg.T + 1):
         rows = x[active]
-        rows_cond = cond if cond is None or len(active) == B else cond.take(active)
         if cfg.strategy == "argmax_unrolled":
-            logits = denoise_logits(model, rows, rows_cond).data
+            logits = _distinct_logits(model, rows, active, cond, groups)
             if lam is None:
                 lam = np.zeros((B,) + logits.shape[1:], dtype=logits.dtype)
             # the first step is plain argmax denoising: no earlier logits to rank by
             rho = cfg.uncertain_share if t > 1 else 0.0
-            y = argmax_unrolled_step(model, logits, rows, lam[active], rho, rows_cond, clamp)
+            y = argmax_unrolled_step(model, logits, rows, lam[active], rho,
+                                     _take(cond, active), clamp)
             lam[active] = logits
         else:
             count = _step_count(cfg, t, mcfg.N)
-            logits = denoise_logits(model, rows, rows_cond).data if min(count, n_free) else None
+            logits = (_distinct_logits(model, rows, active, cond, groups)
+                      if min(count, n_free) else None)
             y = rows if logits is None else sample_step_low_temp(
                 logits, rows, cfg.temperature, count, clamp, [rngs[b] for b in active])
         n_changed = (y != rows).sum(axis=1)
@@ -217,10 +263,9 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
             active = active[~stopped]
             if not len(active):
                 break
-    unscored = [b for b, trace in enumerate(traces) if trace.final_score is None]
-    if unscored:
-        logits = denoise_logits(model, x[unscored],
-                                None if cond is None else cond.take(unscored)).data
+    unscored = np.flatnonzero([trace.final_score is None for trace in traces])
+    if len(unscored):
+        logits = _distinct_logits(model, x[unscored], unscored, cond, groups)
         for b, score in zip(unscored, _chain_scores(logits, x[unscored])):
             traces[b].final_score = score
     return traces

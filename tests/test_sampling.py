@@ -172,6 +172,25 @@ def test_template_validates_shapes():
         Template(np.zeros(4, dtype=np.int64), np.zeros(5))
 
 
+@pytest.mark.parametrize("strategy", ["low_temp", "argmax_unrolled"])
+@pytest.mark.parametrize("tokens, clamp, message", [
+    ([0] * 9, [1] * 9, r"template of shape \(9,\) for a model of sequence length 8"),
+    ([0] * 7, [0] * 7, r"template of shape \(7,\) for a model of sequence length 8"),
+    ([1, 9, 8, 2, 9, 0, 0, 0], [1] * 8, r"clamped template ids \[8, 9\] out of range \[0, 8\)"),
+    ([1, -1, 2, 3, 4, 5, 6, 7], [0, 1, 0, 0, 0, 0, 0, 0],
+     r"clamped template ids \[-1\] out of range \[0, 8\)"),
+], ids=["longer", "shorter", "id-past-v", "negative-id"])
+def test_sample_chains_checks_its_template_against_the_model(tiny_model, strategy, tokens,
+                                                             clamp, message):
+    cfg = SamplerConfig(T=2, strategy=strategy)
+    with pytest.raises(ValueError, match=message):
+        sample_chains(tiny_model, cfg, [0, 1], Template(tokens, clamp))
+    # ids at free positions are drawn over, so only clamped ids must be in range
+    free_ids = Template([9, -1, 3, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0])
+    trace = sample_chain(tiny_model, cfg, free_ids)
+    assert all(0 <= state.min() and state.max() < 8 for state in trace.states)
+
+
 def _sample_reranked(model, cfg):
     return rerank(sample_chains(model, cfg, rerank_seeds(cfg.seed, cfg.rerank_width)))
 
@@ -197,10 +216,17 @@ def test_sample_reranked_scores_each_chain_once(tiny_model, monkeypatch):
     traces = [sample_chain(tiny_model, replace(cfg, seed=s)) for s in rerank_seeds(0, 4)]
     ran_all = [t.changed[-1] != 0 for t in traces]
     assert 0 < sum(ran_all) < 4  # some chains stop early, some run all T steps
-    # a row per chain step, a scoring row per chain that ran all T steps,
-    # and the chains share each step's forward
-    assert sum(forwarded) == sum(len(t.changed) for t in traces) + sum(ran_all)
-    assert len(forwarded) == cfg.T + 1
+    # the chains share each step's forward, which takes one row per distinct
+    # state among the chains running that step (they share no conditioning);
+    # then one scoring row per distinct final state of the chains that ran
+    # all T steps
+    step_rows = [len({trace.states[t - 1].tobytes() for trace in traces
+                      if len(trace.changed) >= t}) for t in range(1, cfg.T + 1)]
+    score_rows = len({trace.states[-1].tobytes()
+                      for trace, ran in zip(traces, ran_all) if ran})
+    assert forwarded == step_rows + [score_rows]
+    # chains that reach the same state share its row
+    assert sum(forwarded) < sum(len(t.changed) for t in traces) + sum(ran_all)
 
 
 def test_low_temp_step_work_is_batched_across_chains(tiny_model, monkeypatch):
@@ -359,7 +385,7 @@ def test_encoder_decoder_chain_requires_cond(tiny_encdec):
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+@given(seeds=st.lists(st.integers(0, 3) | st.integers(0, 2**32 - 1), min_size=1, max_size=5),
        strategy=st.sampled_from(["low_temp", "argmax_unrolled"]),
        schedule=st.sampled_from(["constant", "half", "triangular"]),
        temperature=st.sampled_from([0.01, 0.5]), T=st.integers(0, 8),
@@ -369,6 +395,14 @@ def test_encoder_decoder_chain_requires_cond(tiny_encdec):
 # their own carried logits
 @example(seeds=[14, 1014, 2014, 3014], strategy="argmax_unrolled", schedule="constant",
          temperature=0.5, T=8, early_stop=True, template_seed=None, conditioning=None)
+# repeated seeds start from the same state: under one source the chains
+# share every row, under different sources none
+@example(seeds=[3, 3, 8, 3], strategy="low_temp", schedule="constant", temperature=0.5,
+         T=8, early_stop=True, template_seed=None, conditioning="shared")
+@example(seeds=[3, 3, 8, 3], strategy="low_temp", schedule="constant", temperature=0.5,
+         T=8, early_stop=True, template_seed=None, conditioning="per_chain")
+@example(seeds=[3, 3, 8, 3], strategy="argmax_unrolled", schedule="constant",
+         temperature=0.5, T=8, early_stop=True, template_seed=None, conditioning="per_chain")
 def test_sample_chains_equal_one_chain_per_seed(tiny_model, tiny_encdec, seeds, strategy,
                                                 schedule, temperature, T, early_stop,
                                                 template_seed, conditioning):
@@ -391,7 +425,30 @@ def test_sample_chains_equal_one_chain_per_seed(tiny_model, tiny_encdec, seeds, 
         if conditioning == "shared":
             cond = cond.take([0] * len(seeds))
             conds = [conds[0]] * len(seeds)
-    batched = sample_chains(model, cfg, seeds, init, cond)
+    import snda.sampling as sampling
+    rows, unrolling = [], []
+
+    def forward(model, x, c=None, **kw):
+        if not unrolling:
+            rows.append([state.tobytes() + (b"" if c is None else c.memory.data[k].tobytes()
+                                            + c.key_mask[k].tobytes())
+                         for k, state in enumerate(np.reshape(x, (-1, 8)))])
+        return denoise_logits(model, x, c, **kw)
+
+    def unroll(*a, **kw):
+        unrolling.append(True)
+        try:
+            return argmax_unrolled_step(*a, **kw)
+        finally:
+            unrolling.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "denoise_logits", forward)
+        mp.setattr(sampling, "argmax_unrolled_step", unroll)
+        batched = sample_chains(model, cfg, seeds, init, cond)
+    # each forward over the chains takes every (state, conditioning) row
+    # once; argmax_unrolled's unroll forward is not merged
+    assert [len(keys) for keys in rows] == [len(set(keys)) for keys in rows]
     for trace, seed, row_cond in zip(batched, seeds, conds):
         alone = sample_chain(model, replace(cfg, seed=seed), init, row_cond)
         assert len(trace.states) == len(alone.states)
