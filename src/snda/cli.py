@@ -22,22 +22,6 @@ from .numerics import NumericError, seed_value
 from .sampling import SamplerConfig, Template, sample_chain
 
 
-def _sampler_cfg(cfg: RunConfig, exclusive=("steps", "seed")) -> SamplerConfig:
-    """The sampler.* settings, with --steps standing for sampler.T and --seed
-    for sampler.seed. Setting both keys of an `exclusive` pair is an error,
-    since one of them would be dropped."""
-    kwargs = dict(cfg.sampler)
-    for top, key in (("steps", "T"), ("seed", "seed")):
-        if top not in cfg.top:
-            continue
-        if key not in kwargs:
-            kwargs[key] = integer(top, cfg.top[top])
-        elif top in exclusive:
-            raise ConfigError(f"--{top} and --sampler.{key} both set sampler.{key}; "
-                              "give one of them")
-    return SamplerConfig(**kwargs)
-
-
 def _require(cfg: RunConfig, key: str):
     value = cfg.get(key)
     if value is None:
@@ -118,9 +102,13 @@ def _load_model(cfg: RunConfig):
     return model
 
 
-def _load_vocab(cfg: RunConfig) -> Vocab:
+def _load_vocab(cfg: RunConfig, model) -> Vocab:
     path = cfg.get("vocab") or (str(cfg.get("checkpoint")) + ".vocab")
-    return Vocab.load(path)
+    vocab = Vocab.load(path)
+    if vocab.size != model.config.v:
+        raise ConfigError(f"vocabulary {path} has {vocab.size} tokens; "
+                          f"the model's v is {model.config.v}")
+    return vocab
 
 
 def _text(ids, vocab: Vocab) -> str:
@@ -130,8 +118,8 @@ def _text(ids, vocab: Vocab) -> str:
 def cmd_sample(cfg: RunConfig) -> int:
     count = _count(cfg, 1)
     model = _load_model(cfg)
-    vocab = _load_vocab(cfg)
-    scfg = _sampler_cfg(cfg)
+    vocab = _load_vocab(cfg, model)
+    scfg = SamplerConfig(**cfg.sampler)
     samples = draw_samples(model, scfg, count, scfg.seed)
     _emit(cfg, [_text(ids, vocab) for ids in samples])
     return 0
@@ -139,7 +127,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 def cmd_translate(cfg: RunConfig) -> int:
     model = _load_model(cfg)
-    vocab = _load_vocab(cfg)
+    vocab = _load_vocab(cfg, model)
     N_source = model.config.N_source
     sources = []
     blank = []      # a blank input line gets an empty output line in its place
@@ -154,14 +142,14 @@ def cmd_translate(cfg: RunConfig) -> int:
                 raise ConfigError(f"--input line {lineno} has {n} tokens; "
                                   f"the model's N_source is {N_source}")
             sources.append(encode(text, vocab, N_source))
-    bests = iter(translate(model, sources, _sampler_cfg(cfg)))
+    bests = iter(translate(model, sources, SamplerConfig(**cfg.sampler)))
     _emit(cfg, ["" if b else _text(strip_pad(next(bests)), vocab) for b in blank])
     return 0
 
 
 def cmd_inpaint(cfg: RunConfig) -> int:
     model = _load_model(cfg)
-    vocab = _load_vocab(cfg)
+    vocab = _load_vocab(cfg, model)
     text = _require(cfg, "template")
     parts = Vocab.split(text, vocab.kind)
     N = model.config.N
@@ -174,19 +162,18 @@ def cmd_inpaint(cfg: RunConfig) -> int:
             clamp[i] = False
         else:
             tokens[i] = vocab.id_of(part)
-    scfg = _sampler_cfg(cfg)
-    final = sample_chain(model, scfg, init=Template(tokens, clamp)).states[-1]
-    _emit(cfg, [decode(TokenSeq(final, len(parts)), vocab)])
+    chain = sample_chain(model, SamplerConfig(**cfg.sampler), init=Template(tokens, clamp))
+    _emit(cfg, [decode(TokenSeq(chain.states[-1], len(parts)), vocab)])
     return 0
 
 
 def cmd_eval_task(cfg: RunConfig) -> int:
     count = _count(cfg, 100)
-    model = _load_model(cfg)
-    pairs = heldout_pairs(cfg.get("task"), _int(cfg, "seed", 0), count,
-                          _len_range(cfg), _int(cfg, "v_task", 14), model.config.N)
-    # --seed also picks the task's held-out pairs, so --sampler.seed may differ
-    acc = exact_match(model, pairs, _sampler_cfg(cfg, exclusive=("steps",)))
+    # the checkpoint's training seed fixed the task's cipher, and its v the task's tokens
+    model, _, seed = load_checkpoint(_require(cfg, "checkpoint"))
+    pairs = heldout_pairs(cfg.get("task"), seed, count, _len_range(cfg),
+                          model.config.v - 2, model.config.N)
+    acc = exact_match(model, pairs, SamplerConfig(**cfg.sampler))
     _emit(cfg, [f"variant=eval metric=exact_match value={acc:.6f}"])
     return 0
 
@@ -195,13 +182,13 @@ def cmd_eval_corpus(cfg: RunConfig) -> int:
     temps = temperatures("temps", _require(cfg, "temps"))
     count = _count(cfg, 50, least=2)    # self-BLEU scores each sample against the others
     model = _load_model(cfg)
-    scfg = _sampler_cfg(cfg)
+    scfg = SamplerConfig(**cfg.sampler)
     corpus_path = _require(cfg, "corpus")
-    vocab = _load_vocab(cfg)
+    vocab = _load_vocab(cfg, model)
     refs = [enc.ids[: enc.content_len].tolist()
             for enc in load_corpus(corpus_path, vocab, model.config.N)]
     points = quality_diversity_curve(model, temps, count,
-                                     refs, sampler_cfg=scfg, seed=_int(cfg, "seed", 0))
+                                     refs, sampler_cfg=scfg, seed=scfg.seed)
     _emit(cfg, [f"variant=tau{p.temperature} metric=quality_bleu value={p.quality_bleu:.6f}"
                 for p in points]
                + [f"variant=tau{p.temperature} metric=self_bleu value={p.self_bleu:.6f}"
@@ -211,6 +198,9 @@ def cmd_eval_corpus(cfg: RunConfig) -> int:
 
 def cmd_bench(cfg: RunConfig) -> int:
     seed, count = _int(cfg, "seed", 0), _count(cfg, 32)
+    T_values = [integer("steps", t) for t in str(cfg.get("steps", "4,8,10,16")).split(",")]
+    if min(T_values) < 1:
+        raise ConfigError(f"steps must be >= 1, got {min(T_values)}")
     if "checkpoint" in cfg.top:
         model = _load_model(cfg)
         if model.config.mode != "unconditional":
@@ -220,7 +210,6 @@ def cmd_bench(cfg: RunConfig) -> int:
         mcfg = desk_model_config(mode="unconditional",
                                  **{"v": 32, "N": 64, **cfg.model})
         model = init_model(mcfg, np.random.default_rng(seed))
-    T_values = [integer("steps", t) for t in str(cfg.get("steps", "4,8,10,16")).split(",")]
     text, _ = bench_report(model, T_values, batch=count, seed=seed)
     _emit(cfg, text.splitlines())
     return 0
@@ -274,7 +263,7 @@ def _branch(command, select, fn, summary, keys, sections="", unread=""):
 
 
 _TASK_KEYS = "task seed v_task len_min len_max"
-_DECODE_KEYS = "checkpoint vocab seed steps out"
+_DECODE_KEYS = "checkpoint vocab out"
 # set from the task or the vocabulary, and from --seed
 _DERIVED = "model.v model.mode model.N_source train.seed"
 
@@ -292,10 +281,10 @@ COMMANDS = [
     _branch("inpaint", "", cmd_inpaint, "fill `*` positions of --template, clamping the rest",
             _DECODE_KEYS + " template", "sampler", "sampler.rerank_width"),
     _branch("eval", "task", cmd_eval_task, "exact match on the task's held-out pairs",
-            _TASK_KEYS + " checkpoint count steps out", "sampler"),
+            "task len_min len_max checkpoint count out", "sampler"),
     _branch("eval", "corpus", cmd_eval_corpus, "quality/diversity curve against a corpus",
             _DECODE_KEYS + " corpus temps count", "sampler",
-            "sampler.rerank_width sampler.temperature sampler.seed"),
+            "sampler.rerank_width sampler.temperature"),
     _branch("bench", "checkpoint", cmd_bench, "decoding speed of a trained model",
             "checkpoint steps count seed out"),
     _branch("bench", "", cmd_bench, "decoding speed of a desk model vs causal greedy decoding",
@@ -311,12 +300,10 @@ def _usage() -> str:
              "file (flags win). A command reads only the settings listed for it;",
              "any other is an error. --model.*, --train.* and --sampler.* stand",
              "for every field of that section but those listed after `except`.",
-             "--steps is the chain length (sampler.T), or bench's comma-separated",
-             "list of T values; where a command decodes, --seed is sampler.seed.",
-             "Setting a value twice (--steps with --sampler.T, --seed with",
-             "--sampler.seed) is an error, except --seed with --sampler.seed on",
-             "eval --task, whose --seed also picks the held-out pairs. Seeds",
-             "(--seed, --sampler.seed) must be >= 0.", "",
+             "Chains read --sampler.* (T, seed, ...); --steps is bench's",
+             "comma-separated list of T values, --seed the run seed of train,",
+             "bench and ablate. eval --task takes its task's seed and v_task from",
+             "the checkpoint. Seeds must be >= 0.", "",
              "commands:"]
     for b in COMMANDS:
         reads = [f"--{k}" for k in b.keys] + [f"--{s}.*" for s in b.sections]
@@ -361,10 +348,15 @@ def _parse_argv(argv: list[str]) -> tuple[Branch, RunConfig]:
         if s not in branch.sections or f"{s}.{k}" in branch.unread]
     if unread:
         raise ConfigError(f"snda {branch.name} does not read --{unread[0]}")
-    # seeds are checked here so that the error comes before any checkpoint or corpus is read
-    for key, value in (("seed", cfg.top.get("seed")), ("sampler.seed", cfg.sampler.get("seed"))):
-        if value is not None:
-            seed_value(key, integer(key, value))
+    # checked here so that the error comes before any checkpoint or corpus is read
+    if "seed" in cfg.top:
+        seed_value("seed", integer("seed", cfg.top["seed"]))
+    if "sampler" in branch.sections:
+        try:
+            SamplerConfig(**cfg.sampler)
+        except ValueError as e:     # name the flag, where the message starts with its field
+            msg = str(e)
+            raise ConfigError(f"sampler.{msg}" if msg.split()[0] in cfg.sampler else msg) from None
     return branch, cfg
 
 

@@ -73,7 +73,7 @@ def corpus_ckpt(in_tmp, capsys):
 
 def test_sample_emits_count_lines(corpus_ckpt, capsys):
     code = run(["sample", "--checkpoint", "lm.ckpt", "--count", "3",
-                "--steps", "2", "--seed", "0"])
+                "--sampler.T", "2", "--sampler.seed", "0"])
     assert code == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 3
@@ -81,7 +81,7 @@ def test_sample_emits_count_lines(corpus_ckpt, capsys):
 
 def test_inpaint_preserves_clamped_positions(corpus_ckpt, capsys):
     code = run(["inpaint", "--checkpoint", "lm.ckpt", "--template", "a*a*",
-                "--steps", "2", "--seed", "0"])
+                "--sampler.T", "2", "--sampler.seed", "0"])
     assert code == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert len(line) == 4
@@ -96,7 +96,7 @@ def test_translate_emits_one_line_per_source(in_tmp, capsys):
     (in_tmp / "src.txt").write_text("abc\nfed\n")
     capsys.readouterr()
     code = run(["translate", "--checkpoint", "mt.ckpt", "--vocab", "v.txt",
-                "--input", "src.txt", "--steps", "2", "--seed", "0"])
+                "--input", "src.txt", "--sampler.T", "2", "--sampler.seed", "0"])
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
 
@@ -105,16 +105,16 @@ def test_eval_task_exact_match(in_tmp, capsys):
     run(TRAIN_TASK + ["--checkpoint", "me.ckpt"])
     capsys.readouterr()
     code = run(["eval", "--checkpoint", "me.ckpt", "--task", "copy",
-                "--v_task", "6", "--len_min", "2", "--len_max", "6",
-                "--count", "5", "--steps", "2", "--seed", "0"])
+                "--len_min", "2", "--len_max", "6",
+                "--count", "5", "--sampler.T", "2", "--sampler.seed", "0"])
     assert code == 0
     assert "metric=exact_match" in capsys.readouterr().out
 
 
 def test_eval_corpus_quality_diversity(corpus_ckpt, capsys):
     code = run(["eval", "--checkpoint", "lm.ckpt", "--corpus", "corpus.txt",
-                "--temps", "0.5,1.0", "--count", "4", "--steps", "2",
-                "--seed", "0"])
+                "--temps", "0.5,1.0", "--count", "4", "--sampler.T", "2",
+                "--sampler.seed", "0"])
     assert code == 0
     out = capsys.readouterr().out
     assert "metric=quality_bleu" in out and "metric=self_bleu" in out
@@ -187,31 +187,38 @@ def tiny_ckpts(in_tmp, tiny_model, tiny_encdec):
 
 
 @pytest.mark.parametrize("argv, unread", [
-    ("sample --checkpoint lm.ckpt --steps 1 --temps 0.9", "temps"),
-    ("sample --checkpoint lm.ckpt --steps 1 --config temps.cfg", "temps"),
-    ("translate --checkpoint mt.ckpt --input src.txt --steps 1 --count 2", "count"),
-    ("inpaint --checkpoint lm.ckpt --template a*b --steps 1 --count 2", "count"),
-    ("eval --checkpoint mt.ckpt --task copy --v_task 6 --len_min 2 --len_max 6 --count 2 "
-     "--steps 1 --temps 0.5", "temps"),
+    ("sample --checkpoint lm.ckpt --sampler.T 1 --temps 0.9", "temps"),
+    ("sample --checkpoint lm.ckpt --sampler.T 1 --config temps.cfg", "temps"),
+    ("translate --checkpoint mt.ckpt --input src.txt --sampler.T 1 --count 2", "count"),
+    ("inpaint --checkpoint lm.ckpt --template a*b --sampler.T 1 --count 2", "count"),
+    ("eval --checkpoint mt.ckpt --task copy --len_min 2 --len_max 6 --count 2 "
+     "--sampler.T 1 --temps 0.5", "temps"),
     ("bench --checkpoint lm.ckpt --steps 1 --count 2 --model.layers 3", "model.layers"),
     ("ablate --task copy --v_task 6 --len_min 2 --len_max 6 --model.N 8 "
      "--train.total_steps 2 --train.batch_size 4 --sampler.T 1 --checkpoint lm.ckpt",
      "checkpoint"),
-    ("sample --checkpoint lm.ckpt --steps 1 --sampler.rerank_width 2", "sampler.rerank_width"),
-    ("inpaint --checkpoint lm.ckpt --template a*b --steps 1 --sampler.rerank_width 2",
+    ("sample --checkpoint lm.ckpt --sampler.T 1 --sampler.rerank_width 2",
      "sampler.rerank_width"),
-    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 2 --steps 1 "
+    ("inpaint --checkpoint lm.ckpt --template a*b --sampler.T 1 --sampler.rerank_width 2",
+     "sampler.rerank_width"),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 2 --sampler.T 1 "
      "--sampler.rerank_width 2", "sampler.rerank_width"),
-    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 2 --steps 1 "
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 2 --sampler.T 1 "
      "--sampler.temperature 0.5", "sampler.temperature"),
-    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 2 --steps 1 "
-     "--sampler.seed 3", "sampler.seed"),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 2 --sampler.T 1 "
+     "--seed 3", "seed"),
     ("ablate --task copy --v_task 6 --len_min 2 --len_max 6 --model.N 8 "
      "--train.total_steps 2 --train.batch_size 4 --sampler.T 1 --train.unroll_terms 1",
      "train.unroll_terms"),
+    # the checkpoint holds the task's seed and v_task; chains read --sampler.* only
+    ("eval --checkpoint mt.ckpt --task copy --count 2 --seed 5", "seed"),
+    ("eval --checkpoint mt.ckpt --task copy --count 2 --v_task 6", "v_task"),
+    ("sample --checkpoint lm.ckpt --steps 2", "steps"),
+    ("sample --checkpoint lm.ckpt --seed 0", "seed"),
 ], ids=["sample-flag", "sample-config", "translate", "inpaint", "eval-task", "bench-checkpoint",
         "ablate", "sample-rerank", "inpaint-rerank", "eval-corpus-rerank",
-        "eval-corpus-temperature", "eval-corpus-seed", "ablate-unroll-terms"])
+        "eval-corpus-temperature", "eval-corpus-seed", "ablate-unroll-terms", "eval-task-seed",
+        "eval-task-v_task", "sample-steps", "sample-seed"])
 def test_command_rejects_keys_it_does_not_read(tiny_ckpts, capsys, argv, unread):
     before = sorted(os.listdir("."))
     assert run(argv.split() + ["--out", "report.txt"]) == 1
@@ -220,19 +227,20 @@ def test_command_rejects_keys_it_does_not_read(tiny_ckpts, capsys, argv, unread)
     assert sorted(os.listdir(".")) == before
 
 
-_EVAL_TASK = "eval --checkpoint mt.ckpt --task copy --count 2 --steps 1"
+_EVAL_TASK = "eval --checkpoint mt.ckpt --task copy --count 2 --sampler.T 1"
 
 
 @pytest.mark.parametrize("argv, key", [
-    ("sample --checkpoint lm.ckpt --steps 1 --count 2.9", "count"),
-    ("sample --checkpoint lm.ckpt --steps 3.7", "steps"),
-    ("sample --checkpoint lm.ckpt --steps 1 --seed 0.5", "seed"),
+    ("sample --checkpoint lm.ckpt --sampler.T 1 --count 2.9", "count"),
+    ("sample --checkpoint lm.ckpt --sampler.T 3.7", "sampler.T"),
+    ("sample --checkpoint lm.ckpt --sampler.T 1 --sampler.seed 0.5", "sampler.seed"),
     ("sample --checkpoint lm.ckpt --sampler.T true", "sampler.T"),
     ("bench --checkpoint lm.ckpt --steps 1,2.5 --count 2", "steps"),
-    (_EVAL_TASK + " --v_task 6.5 --len_min 2 --len_max 6", "v_task"),
-    (_EVAL_TASK + " --v_task 6 --len_min true --len_max 6", "len_min"),
-    (_EVAL_TASK + " --v_task 6 --len_min 2 --len_max 6.5", "len_max"),
-    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count true --steps 1",
+    ("train --task copy --v_task 6.5 --len_min 2 --len_max 6 --model.N 8 "
+     "--train.total_steps 2 --train.batch_size 4", "v_task"),
+    (_EVAL_TASK + " --len_min true --len_max 6", "len_min"),
+    (_EVAL_TASK + " --len_min 2 --len_max 6.5", "len_max"),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count true --sampler.T 1",
      "count"),
     ("train --corpus corpus.txt --model.N 8 --train.total_steps 2 --train.batch_size 4 "
      "--log_every 2.5", "log_every"),
@@ -248,9 +256,9 @@ def test_integer_settings_take_integers_only(tiny_ckpts, capsys, argv, key):
 
 
 @pytest.mark.parametrize("argv, key", [
-    ("sample --checkpoint lm.ckpt --count 2 --steps 3 --sampler.temperature nan",
+    ("sample --checkpoint lm.ckpt --count 2 --sampler.T 3 --sampler.temperature nan",
      "sampler.temperature"),
-    ("sample --checkpoint lm.ckpt --count 2 --steps 3 --sampler.temperature inf",
+    ("sample --checkpoint lm.ckpt --count 2 --sampler.T 3 --sampler.temperature inf",
      "sampler.temperature"),
     ("train --task copy --v_task 6 --len_min 2 --len_max 6 --model.N 8 "
      "--train.total_steps 2 --train.batch_size 4 --train.lr_peak nan", "train.lr_peak"),
@@ -268,7 +276,7 @@ def test_float_settings_take_finite_numbers_only(tiny_ckpts, capsys, argv, key):
 @pytest.mark.parametrize("value", ["no", "1"])
 def test_bool_settings_take_booleans_only(tiny_ckpts, capsys, value):
     before = sorted(os.listdir("."))
-    argv = f"sample --checkpoint lm.ckpt --steps 1 --sampler.early_stop {value} --out report.txt"
+    argv = f"sample --checkpoint lm.ckpt --sampler.T 1 --sampler.early_stop {value} --out report.txt"
     assert run(argv.split()) == 1
     assert "error: sampler.early_stop must be true or false" in capsys.readouterr().err
     assert sorted(os.listdir(".")) == before
@@ -277,7 +285,7 @@ def test_bool_settings_take_booleans_only(tiny_ckpts, capsys, value):
 @pytest.mark.parametrize("temps", ["0.5,nan", "a,b", "0.5,inf", "true"])
 def test_temps_take_finite_numbers_only(tiny_ckpts, capsys, temps):
     before = sorted(os.listdir("."))
-    argv = f"eval --checkpoint lm.ckpt --corpus corpus.txt --temps {temps} --count 2 --steps 1"
+    argv = f"eval --checkpoint lm.ckpt --corpus corpus.txt --temps {temps} --count 2 --sampler.T 1"
     assert run(argv.split() + ["--out", "report.txt"]) == 1
     assert "error: temps must be a finite number" in capsys.readouterr().err
     assert sorted(os.listdir(".")) == before
@@ -288,7 +296,7 @@ def test_temps_out_of_rule_are_usage_errors(tiny_ckpts, capsys, temps):
     # junk.ckpt would fail if read: the temperatures are checked first
     (tiny_ckpts / "junk.ckpt").write_bytes(b"XXXXnothing")
     before = sorted(os.listdir("."))
-    argv = f"eval --checkpoint junk.ckpt --corpus corpus.txt --temps {temps} --count 2 --steps 1"
+    argv = f"eval --checkpoint junk.ckpt --corpus corpus.txt --temps {temps} --count 2 --sampler.T 1"
     assert run(argv.split() + ["--out", "report.txt"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and (
@@ -298,17 +306,17 @@ def test_temps_out_of_rule_are_usage_errors(tiny_ckpts, capsys, temps):
 
 def test_decoding_refuses_text_longer_than_the_model(tiny_ckpts, capsys):
     # both models hold N = N_source = 8 positions
-    argv = "inpaint --checkpoint lm.ckpt --steps 1 --template " + "a*" * 5
+    argv = "inpaint --checkpoint lm.ckpt --sampler.T 1 --template " + "a*" * 5
     assert run(argv.split()) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "--template has 10 tokens; the model's N is 8" in captured.err
     (tiny_ckpts / "long.txt").write_text("abc\n\nabcdefabc\n")
-    assert run("translate --checkpoint mt.ckpt --input long.txt --steps 1".split()) == 1
+    assert run("translate --checkpoint mt.ckpt --input long.txt --sampler.T 1".split()) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and (
         "--input line 3 has 9 tokens; the model's N_source is 8" in captured.err)
     # a template of exactly N positions fills all of them
-    assert run("inpaint --checkpoint lm.ckpt --steps 1 --template a*a*a*a*".split()) == 0
+    assert run("inpaint --checkpoint lm.ckpt --sampler.T 1 --template a*a*a*a*".split()) == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert len(line) == 8 and line[::2] == "aaaa"
 
@@ -322,11 +330,11 @@ def test_train_rejects_dtype_the_tape_cannot_hold(in_tmp, capsys, dtype):
 
 
 @pytest.mark.parametrize("argv, least", [
-    ("sample --checkpoint lm.ckpt --steps 1 --count 0", 1),
-    ("sample --checkpoint lm.ckpt --steps 1 --count -2", 1),
-    (_EVAL_TASK.replace("--count 2", "--count 0") + " --v_task 6 --len_min 2 --len_max 6", 1),
-    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 1 --steps 1", 2),
-    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 0 --steps 1", 2),
+    ("sample --checkpoint lm.ckpt --sampler.T 1 --count 0", 1),
+    ("sample --checkpoint lm.ckpt --sampler.T 1 --count -2", 1),
+    (_EVAL_TASK.replace("--count 2", "--count 0") + " --len_min 2 --len_max 6", 1),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 1 --sampler.T 1", 2),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 0 --sampler.T 1", 2),
     ("bench --checkpoint lm.ckpt --steps 1 --count 0", 1),
     ("bench --steps 1 --count -1 --model.N 8 --model.v 8", 1),
 ], ids=["sample-0", "sample-negative", "eval-task-0", "eval-corpus-1", "eval-corpus-0",
@@ -344,15 +352,16 @@ _COPY_TASK = "--task copy --v_task 6 --len_min 2 --len_max 6"
 
 
 @pytest.mark.parametrize("argv, key", [
-    ("sample --checkpoint junk.ckpt --steps 1 --seed -1", "seed"),
-    ("sample --checkpoint junk.ckpt --steps 1 --sampler.seed -1", "sampler.seed"),
-    ("translate --checkpoint junk.ckpt --input src.txt --steps 1 --seed -1", "seed"),
-    ("inpaint --checkpoint junk.ckpt --template a*b --steps 1 --sampler.seed -3",
+    ("sample --checkpoint junk.ckpt --sampler.seed -1", "sampler.seed"),
+    ("sample --checkpoint junk.ckpt --sampler.T 1 --sampler.seed -1", "sampler.seed"),
+    ("translate --checkpoint junk.ckpt --input src.txt --sampler.T 1 --sampler.seed -1",
      "sampler.seed"),
-    ("eval --checkpoint junk.ckpt --corpus corpus.txt --temps 0.9 --count 2 --steps 1 "
-     "--seed -5", "seed"),
-    (f"eval --checkpoint junk.ckpt {_COPY_TASK} --count 2 --steps 1 --sampler.seed -1",
+    ("inpaint --checkpoint junk.ckpt --template a*b --sampler.T 1 --sampler.seed -3",
      "sampler.seed"),
+    ("eval --checkpoint junk.ckpt --corpus corpus.txt --temps 0.9 --count 2 --sampler.T 1 "
+     "--sampler.seed -5", "sampler.seed"),
+    ("eval --checkpoint junk.ckpt --task copy --len_min 2 --len_max 6 --count 2 --sampler.T 1 "
+     "--sampler.seed -1", "sampler.seed"),
     (f"train --corpus missing.txt {_TRAIN_TINY} --seed -2", "seed"),
     (f"train {_COPY_TASK} {_TRAIN_TINY} --seed -2", "seed"),
     ("bench --checkpoint junk.ckpt --steps 1 --count 2 --seed -1", "seed"),
@@ -372,31 +381,59 @@ def test_negative_seed_is_a_usage_error(tiny_ckpts, capsys, argv, key):
     assert sorted(os.listdir(".")) == before
 
 
-@pytest.mark.parametrize("argv, keys", [
-    ("sample --checkpoint lm.ckpt --steps 2 --sampler.T 3", ("--steps", "--sampler.T")),
-    ("sample --checkpoint lm.ckpt --steps 2 --seed 1 --sampler.seed 2",
-     ("--seed", "--sampler.seed")),
-    ("translate --checkpoint mt.ckpt --input src.txt --steps 2 --sampler.T 3",
-     ("--steps", "--sampler.T")),
-    ("translate --checkpoint mt.ckpt --input src.txt --seed 1 --sampler.seed 2",
-     ("--seed", "--sampler.seed")),
-    ("inpaint --checkpoint lm.ckpt --template a*b --steps 2 --sampler.T 3",
-     ("--steps", "--sampler.T")),
-    ("inpaint --checkpoint lm.ckpt --template a*b --seed 1 --sampler.seed 2",
-     ("--seed", "--sampler.seed")),
-    ("eval --checkpoint mt.ckpt --task copy --v_task 6 --len_min 2 --len_max 6 --count 2 "
-     "--steps 2 --sampler.T 3", ("--steps", "--sampler.T")),
-])
-def test_decoding_rejects_two_keys_for_one_setting(tiny_ckpts, capsys, argv, keys):
-    assert run(argv.split()) == 1
+@pytest.mark.parametrize("argv, message", [
+    ("sample --checkpoint junk.ckpt --sampler.temperature -1",
+     "sampler.temperature must be positive"),
+    ("translate --checkpoint junk.ckpt --input src.txt --sampler.T -1", "sampler.T must be >= 0"),
+    ("eval --checkpoint junk.ckpt --task copy --count 2 --sampler.rerank_width 0",
+     "sampler.rerank_width must be >= 1"),
+    ("inpaint --checkpoint junk.ckpt --template a*b --sampler.strategy banana",
+     "unknown strategy: banana"),
+    (f"ablate {_COPY_TASK} {_TRAIN_TINY} --sampler.T -1", "sampler.T must be >= 0"),
+    ("bench --checkpoint junk.ckpt --steps 0 --count 2", "steps must be >= 1, got 0"),
+    ("bench --steps 4,-1 --count 2 --model.N 8 --model.v 8", "steps must be >= 1, got -1"),
+], ids=["sample-temperature", "translate-T", "eval-task-rerank", "inpaint-strategy", "ablate-T",
+        "bench-checkpoint-steps", "bench-steps"])
+def test_out_of_range_values_are_usage_errors(tiny_ckpts, capsys, argv, message):
+    # junk.ckpt would fail if read, and no model is built: the values are checked first
+    (tiny_ckpts / "junk.ckpt").write_bytes(b"XXXXnothing")
+    before = sorted(os.listdir("."))
+    assert run(argv.split() + ["--out", "report.txt"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and all(key in captured.err for key in keys)
+    assert captured.out == "" and f"error: {message}" in captured.err
+    assert sorted(os.listdir(".")) == before
 
 
-def test_eval_task_reads_seed_and_sampler_seed(tiny_ckpts, capsys):
-    # --seed picks the held-out pairs there, --sampler.seed the chains
-    assert run("eval --checkpoint mt.ckpt --task copy --v_task 6 --len_min 2 --len_max 6 "
-               "--count 2 --steps 1 --seed 1 --sampler.seed 2".split()) == 0
+@pytest.mark.parametrize("argv, vocab, size", [
+    ("sample --checkpoint lm.ckpt", "small.vocab", 5),
+    ("translate --checkpoint mt.ckpt --input src.txt", "big.vocab", 22),
+    ("inpaint --checkpoint lm.ckpt --template a*b", "small.vocab", 5),
+    ("eval --checkpoint lm.ckpt --corpus corpus.txt --temps 0.9 --count 2", "big.vocab", 22),
+], ids=["sample", "translate", "inpaint", "eval-corpus"])
+def test_vocabulary_of_the_wrong_size_is_a_usage_error(tiny_ckpts, capsys, argv, vocab, size):
+    Vocab(list("abc"), kind="char").save("small.vocab")
+    Vocab(list("abcdefghijklmnopqrst"), kind="char").save("big.vocab")
+    assert run(argv.split() + ["--vocab", vocab, "--sampler.T", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and (
+        f"error: vocabulary {vocab} has {size} tokens; the model's v is 8" in captured.err)
+
+
+def test_eval_task_reads_its_task_from_the_checkpoint(tiny_ckpts, tiny_encdec, capsys,
+                                                      monkeypatch):
+    seen, real = [], cli.heldout_pairs
+
+    def heldout_pairs(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "heldout_pairs", heldout_pairs)
+    save_checkpoint(tiny_encdec, "mt5.ckpt", seed=5)
+    assert run("eval --checkpoint mt5.ckpt --task reverse_cipher --len_min 2 --len_max 6 "
+               "--count 3 --sampler.T 1".split()) == 0
+    # v = v_task + 2: the pad and unk ids
+    assert seen == [("reverse_cipher", 5, 3, (2, 6), 6, 8)]
+    assert "metric=exact_match" in capsys.readouterr().out
 
 
 def test_bench_rejects_encoder_decoder_checkpoint(tiny_ckpts, capsys):
@@ -420,8 +457,8 @@ def test_bench_passes_model_settings(in_tmp, capsys, monkeypatch):
 
 
 def test_sample_prints_draw_samples(tiny_ckpts, tiny_model, capsys):
-    assert run(["sample", "--checkpoint", "lm.ckpt", "--count", "4", "--steps", "3",
-                "--seed", "5"]) == 0
+    assert run(["sample", "--checkpoint", "lm.ckpt", "--count", "4", "--sampler.T", "3",
+                "--sampler.seed", "5"]) == 0
     vocab = Vocab.load("lm.ckpt.vocab")
     want = [decode(TokenSeq(ids, len(ids)), vocab) for ids in evaluation.draw_samples(
         tiny_model, SamplerConfig(T=3, seed=5), 4, 5)]
@@ -429,8 +466,8 @@ def test_sample_prints_draw_samples(tiny_ckpts, tiny_model, capsys):
 
 
 def test_translate_prints_evaluation_translate(tiny_ckpts, tiny_encdec, capsys):
-    assert run(["translate", "--checkpoint", "mt.ckpt", "--input", "src.txt", "--steps", "3",
-                "--seed", "5", "--sampler.rerank_width", "2"]) == 0
+    assert run(["translate", "--checkpoint", "mt.ckpt", "--input", "src.txt", "--sampler.T", "3",
+                "--sampler.seed", "5", "--sampler.rerank_width", "2"]) == 0
     vocab = Vocab.load("mt.ckpt.vocab")
     sources = [encode(text, vocab, 8) for text in ("abc", "fed", "cab")]
     bests = evaluation.translate(tiny_encdec, sources,
@@ -441,8 +478,8 @@ def test_translate_prints_evaluation_translate(tiny_ckpts, tiny_encdec, capsys):
 
 def test_translate_answers_a_blank_input_line_with_an_empty_line(tiny_ckpts, tiny_encdec, capsys):
     (tiny_ckpts / "gaps.txt").write_text("abc\n\nfed\n")
-    assert run(["translate", "--checkpoint", "mt.ckpt", "--input", "gaps.txt", "--steps", "3",
-                "--seed", "5"]) == 0
+    assert run(["translate", "--checkpoint", "mt.ckpt", "--input", "gaps.txt", "--sampler.T", "3",
+                "--sampler.seed", "5"]) == 0
     vocab = Vocab.load("mt.ckpt.vocab")
     # the blank line takes no source index, so "fed" decodes as source 1
     bests = evaluation.translate(tiny_encdec, [encode(text, vocab, 8) for text in ("abc", "fed")],
@@ -465,12 +502,12 @@ _FEWER_STEPS = {"train": ["--train.total_steps", "8"], "bench": ["--steps", "4"]
 
 
 def _shortened(argv: list[str]) -> list[str]:
-    """argv with fewer steps: a decoding command's --steps value becomes 2
+    """argv with fewer steps: a decoding command's --sampler.T value becomes 2
     (or --sampler.T 2 is added), other commands get _FEWER_STEPS."""
     if argv[0] in _FEWER_STEPS:
         return argv + _FEWER_STEPS[argv[0]]
-    if "--steps" in argv:
-        i = argv.index("--steps") + 1
+    if "--sampler.T" in argv:
+        i = argv.index("--sampler.T") + 1
         return argv[:i] + ["2"] + argv[i + 1:]
     return argv + ["--sampler.T", "2"]
 
