@@ -97,9 +97,15 @@ def cmd_train_corpus(cfg: RunConfig) -> int:
     return _save_run(cfg, model, lines, seed)
 
 
-def _load_model(cfg: RunConfig):
-    model, _, _ = load_checkpoint(_require(cfg, "checkpoint"))
-    return model
+def _load_model(cfg: RunConfig, mode: str, does: str):
+    """--checkpoint's model and training seed. A model of another mode than
+    `mode` is a usage error that says what the command `does`, checked
+    before any other file is read."""
+    path = _require(cfg, "checkpoint")
+    model, _, seed = load_checkpoint(path)
+    if model.config.mode != mode:
+        raise ConfigError(f"{does}; {path} holds an {model.config.mode} model")
+    return model, seed
 
 
 def _load_vocab(cfg: RunConfig, model) -> Vocab:
@@ -117,7 +123,7 @@ def _text(ids, vocab: Vocab) -> str:
 
 def cmd_sample(cfg: RunConfig) -> int:
     count = _count(cfg, 1)
-    model = _load_model(cfg)
+    model, _ = _load_model(cfg, "unconditional", "sample draws unconditional chains")
     vocab = _load_vocab(cfg, model)
     scfg = SamplerConfig(**cfg.sampler)
     samples = draw_samples(model, scfg, count, scfg.seed)
@@ -126,7 +132,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def cmd_translate(cfg: RunConfig) -> int:
-    model = _load_model(cfg)
+    model, _ = _load_model(cfg, "encoder_decoder", "translate decodes from a source")
     vocab = _load_vocab(cfg, model)
     N_source = model.config.N_source
     sources = []
@@ -148,7 +154,7 @@ def cmd_translate(cfg: RunConfig) -> int:
 
 
 def cmd_inpaint(cfg: RunConfig) -> int:
-    model = _load_model(cfg)
+    model, _ = _load_model(cfg, "unconditional", "inpaint fills a template by unconditional chains")
     vocab = _load_vocab(cfg, model)
     text = _require(cfg, "template")
     parts = Vocab.split(text, vocab.kind)
@@ -170,7 +176,7 @@ def cmd_inpaint(cfg: RunConfig) -> int:
 def cmd_eval_task(cfg: RunConfig) -> int:
     count = _count(cfg, 100)
     # the checkpoint's training seed fixed the task's cipher, and its v the task's tokens
-    model, _, seed = load_checkpoint(_require(cfg, "checkpoint"))
+    model, seed = _load_model(cfg, "encoder_decoder", "eval --task decodes from a source")
     pairs = heldout_pairs(cfg.get("task"), seed, count, _len_range(cfg),
                           model.config.v - 2, model.config.N)
     acc = exact_match(model, pairs, SamplerConfig(**cfg.sampler))
@@ -181,7 +187,7 @@ def cmd_eval_task(cfg: RunConfig) -> int:
 def cmd_eval_corpus(cfg: RunConfig) -> int:
     temps = temperatures("temps", _require(cfg, "temps"))
     count = _count(cfg, 50, least=2)    # self-BLEU scores each sample against the others
-    model = _load_model(cfg)
+    model, _ = _load_model(cfg, "unconditional", "eval --corpus draws unconditional chains")
     scfg = SamplerConfig(**cfg.sampler)
     corpus_path = _require(cfg, "corpus")
     vocab = _load_vocab(cfg, model)
@@ -202,10 +208,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     if min(T_values) < 1:
         raise ConfigError(f"steps must be >= 1, got {min(T_values)}")
     if "checkpoint" in cfg.top:
-        model = _load_model(cfg)
-        if model.config.mode != "unconditional":
-            raise ConfigError(f"bench times unconditional decoding; {cfg.get('checkpoint')} "
-                              f"holds an {model.config.mode} model")
+        model, _ = _load_model(cfg, "unconditional", "bench times unconditional decoding")
     else:
         mcfg = desk_model_config(mode="unconditional",
                                  **{"v": 32, "N": 64, **cfg.model})

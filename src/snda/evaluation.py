@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -57,18 +58,49 @@ class ClipTable(NamedTuple):
 
     @classmethod
     def build(cls, refs, max_order: int) -> ClipTable:
-        """Duplicate references cannot change the table, so each distinct
-        reference is counted once."""
-        distinct = {tuple(r) for r in refs}
+        """Counted in numpy, one pass per order. Duplicate references cannot
+        change the table, so each distinct reference is counted once, and
+        its tokens are interned to dense ids below V. An order-n gram's code
+        is its (n-1)-prefix's rank among the distinct (n-1)-grams times V
+        plus its last id, so codes stay below tokens x V at every order, and
+        sorting the codes ranks the n-grams. One np.unique over
+        rank x references + reference counts each gram in each reference;
+        a gram's clip is the largest of its counts."""
+        distinct = list(dict.fromkeys(map(tuple, refs)))
         if not distinct:
             raise ValueError("empty reference list")
-        best: list[dict] = [{} for _ in range(max_order)]
-        for ref in distinct:
-            for n, table in enumerate(best, 1):
-                for g, c in _ngrams(ref, n).items():
-                    if c > table.get(g, 0):
-                        table[g] = c
+        flat = list(chain.from_iterable(distinct))
+        intern = {t: i for i, t in enumerate(dict.fromkeys(flat))}
+        ids = np.fromiter(map(intern.__getitem__, flat), np.int64, len(flat))
+        sizes = np.array([len(r) for r in distinct])
+        ref = np.repeat(np.arange(len(distinct)), sizes)
+        # tokens from each position to the end of its reference
+        left = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(flat))
+        pos, rank, grams = np.arange(len(flat)), ids, [(t,) for t in intern]
+        best: list[dict] = []
+        for n in range(1, max_order + 1):
+            if n > 1:
+                keep = left[pos] >= n
+                pos = pos[keep]
+                rank, first = _ranks(rank[keep] * len(intern) + ids[pos + n - 1])
+                grams = [tuple(flat[p: p + n]) for p in pos[first].tolist()]
+            pairs, counts = np.unique(rank * len(distinct) + ref[pos], return_counts=True)
+            starts = np.flatnonzero(np.diff(pairs // len(distinct), prepend=-1))
+            best.append(dict(zip(grams, np.maximum.reduceat(counts, starts).tolist())))
         return cls(best, sorted({len(r) for r in distinct}))
+
+
+def _ranks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each code's rank among the distinct codes, and one position of each
+    distinct code, in rank order."""
+    order = np.argsort(codes)
+    ordered = codes[order]
+    new = np.empty(len(codes), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(len(codes), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return rank, order[new]
 
 
 def _table_of(refs, max_order: int) -> ClipTable:

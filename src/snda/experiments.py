@@ -155,10 +155,12 @@ def bench_report(model: DenoiserModel, T_values: list[int], batch: int = 32,
                  seed: int = 0) -> tuple[str, list[dict]]:
     """Decoding-cost comparison: chain steps vs a causal greedy baseline.
 
-    Counts full-sequence forward passes (chain: T; baseline: one per
-    position) and measures wall clock for both on the same network: the
-    chains through `sample_chains`, `batch` of them in lockstep, the
-    baseline tape-free like them. Paper reference gains are printed
+    The forward-pass ratio is N / T: a chain's T steps against the
+    baseline's one forward per position. The wall clock is measured for
+    both on the same network: the chains through `sample_chains`, `batch`
+    of them in lockstep, the baseline tape-free like them. The timed chain
+    decode runs its T steps and then one scoring forward, T + 1 forwards in
+    all, which the ratio leaves out. Paper reference gains are printed
     alongside, never asserted.
     """
     N = model.config.N

@@ -436,6 +436,25 @@ def test_eval_task_reads_its_task_from_the_checkpoint(tiny_ckpts, tiny_encdec, c
     assert "metric=exact_match" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, ckpt, mode", [
+    ("sample --count 2", "mt.ckpt", "encoder_decoder"),
+    ("inpaint --template a*b", "mt.ckpt", "encoder_decoder"),
+    ("eval --corpus missing.txt --temps 0.9 --count 2", "mt.ckpt", "encoder_decoder"),
+    ("translate --input missing.txt", "lm.ckpt", "unconditional"),
+    ("eval --task copy --count 2", "lm.ckpt", "unconditional"),
+], ids=["sample", "inpaint", "eval-corpus", "translate", "eval-task"])
+def test_checkpoint_of_the_wrong_mode_is_a_usage_error(tiny_ckpts, capsys, argv, ckpt, mode):
+    # the vocabulary, corpus and input named here do not exist: the mode is
+    # checked before any of them is read
+    vocab = [] if "--task" in argv else ["--vocab", "missing.vocab"]
+    before = sorted(os.listdir("."))
+    assert run(argv.split() + ["--checkpoint", ckpt, "--sampler.T", "1", "--out", "report.txt"]
+               + vocab) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"; {ckpt} holds an {mode} model" in captured.err
+    assert sorted(os.listdir(".")) == before
+
+
 def test_bench_rejects_encoder_decoder_checkpoint(tiny_ckpts, capsys):
     assert run(["bench", "--checkpoint", "mt.ckpt", "--steps", "1", "--count", "2"]) == 1
     assert "bench times unconditional decoding" in capsys.readouterr().err

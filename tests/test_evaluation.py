@@ -192,6 +192,57 @@ def test_clip_table_stands_in_for_its_references():
         ClipTable.build([], 4)
 
 
+def _clip_table_oracle(refs, max_order):
+    """(best, lengths) counted one reference at a time with Counters."""
+    best = [Counter() for _ in range(max_order)]
+    for ref in refs:
+        ref = list(ref)
+        for n, table in enumerate(best, 1):
+            for g, c in Counter(tuple(ref[i: i + n]) for i in range(len(ref) - n + 1)).items():
+                table[g] = max(table[g], c)
+    return [dict(table) for table in best], sorted({len(r) for r in refs})
+
+
+@st.composite
+def _clip_table_case(draw):
+    """(references, max_order) over str, small int or huge int tokens, with
+    duplicate references, the empty reference and references shorter than
+    max_order."""
+    tokens = draw(st.sampled_from(["abc", "a", [1, 2, 3], [0, 1],
+                                   [2**62, 2**62 + 1, 2**62 - 1, -2**62, 2**70]]))
+    refs = draw(st.lists(st.lists(st.sampled_from(tokens), max_size=8), min_size=1, max_size=6))
+    refs += [copy.copy(refs[i]) for i in draw(st.lists(st.integers(0, len(refs) - 1),
+                                                       max_size=3))]
+    return refs, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clip_table_case())
+@example(([[], list("ab")], 3))
+@example(([[]], 2))
+@example(([list("aaaa"), list("aab"), list("aaaa")], 4))
+def test_clip_table_matches_counter_oracle(case):
+    refs, order = case
+    table = ClipTable.build(refs, order)
+    assert (table.best, table.lengths) == _clip_table_oracle(refs, order)
+    assert all(type(g) is tuple and type(c) is int for b in table.best for g, c in b.items())
+
+
+def test_clip_table_of_a_large_vocabulary_matches_counter_oracle():
+    # 70k distinct tokens, interned in order, so token i has id i. A
+    # positional base-V code of a 4-gram passes 2**64, and in int64 `high`
+    # and `low` would share the code V**4 - 1 (mod 2**64)
+    V = 70_000
+    high = [V - 1] * 4
+    low = [(V ** 4 - 1 - 2 ** 64) // V ** k % V for k in (3, 2, 1, 0)]
+    refs = [list(range(V)), high, low * 2, np.random.default_rng(4).integers(
+        V - 50, V, size=400).tolist()]
+    refs += refs[1:3]
+    table = ClipTable.build(refs, 4)
+    assert table.best[3][tuple(high)] == 1 and table.best[3][tuple(low)] == 2
+    assert (table.best, table.lengths) == _clip_table_oracle(refs, 4)
+
+
 def test_quality_diversity_curve_builds_one_clip_table(tiny_model, monkeypatch):
     built = []
     build = ClipTable.build
