@@ -2,9 +2,10 @@
 
 Layout (format version 3): a 16-byte header of magic `SNDA`, u32-LE format
 version and u64-LE metadata length; the UTF-8 JSON metadata (model config,
-step, seed, and `layout`: the `[name, shape]` list of `ParamSet.layout`);
-then `ParamSet.flat` as one block of little-endian values in the model
-config's dtype.
+step, seed, `layout`: the `[name, shape]` list of `ParamSet.layout`, and,
+for a model trained on a synthetic task, `task`: its `kind` and
+`len_range`); then `ParamSet.flat` as one block of little-endian values in
+the model config's dtype.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import struct
 from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,13 +30,27 @@ class CheckpointError(IOError):
     """Corrupt, truncated, or incompatible checkpoint file."""
 
 
-def save_checkpoint(model: DenoiserModel, path: str, step: int = 0, seed: int = 0):
-    meta = json.dumps({
+class Checkpoint(NamedTuple):
+    model: DenoiserModel
+    step: int
+    seed: int
+    task: tuple[str, tuple[int, int]] | None    # (kind, len_range) of a synthetic task
+
+
+def save_checkpoint(model: DenoiserModel, path: str, step: int = 0, seed: int = 0,
+                    task: tuple[str, tuple[int, int]] | None = None):
+    """Write `model` with its training step and seed and, for a synthetic
+    task, the task's (kind, len_range)."""
+    meta = {
         "model_config": asdict(model.config),
         "step": int(step),
         "seed": int(seed),
         "layout": model.params.layout,
-    }, sort_keys=True).encode("utf-8")
+    }
+    if task is not None:
+        kind, (lo, hi) = task
+        meta["task"] = {"kind": str(kind), "len_range": [int(lo), int(hi)]}
+    meta = json.dumps(meta, sort_keys=True).encode("utf-8")
     dtype = np.dtype(model.config.dtype).newbyteorder("<")
     with open(path, "wb") as f:
         f.write(HEADER.pack(MAGIC, VERSION, len(meta)))
@@ -43,7 +59,13 @@ def save_checkpoint(model: DenoiserModel, path: str, step: int = 0, seed: int = 
 
 
 def load_checkpoint(path: str) -> tuple[DenoiserModel, int, int]:
-    """Load a model; returns (model, step, seed). Round trip is bit-exact.
+    """Load a model; returns (model, step, seed). Round trip is bit-exact."""
+    return read_checkpoint(path)[:3]
+
+
+def read_checkpoint(path: str) -> Checkpoint:
+    """Load a model with its step, seed and training task (None where the
+    file records none). Round trip is bit-exact.
 
     The parameter block must take exactly the bytes that the metadata's
     config implies, which is checked before it is allocated; only then is
@@ -66,6 +88,12 @@ def load_checkpoint(path: str) -> tuple[DenoiserModel, int, int]:
         config = ModelConfig(**meta["model_config"])
         stored, step, seed = meta["layout"], int(meta["step"]), int(meta["seed"])
         dtype = np.dtype(config.dtype).newbyteorder("<")
+        task = meta.get("task")
+        if task is not None:
+            lo, hi = task["len_range"]
+            if not (isinstance(task["kind"], str) and type(lo) is type(hi) is int):
+                raise ValueError(f"task record {task}")
+            task = task["kind"], (lo, hi)
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointError(f"invalid checkpoint metadata: {e}") from e
 
@@ -78,4 +106,4 @@ def load_checkpoint(path: str) -> tuple[DenoiserModel, int, int]:
         raise CheckpointError("checkpoint parameter layout differs from the one "
                               "its config implies")
     flat = np.frombuffer(payload, dtype).astype(config.dtype)
-    return DenoiserModel(config, ParamSet(layout, flat)), step, seed
+    return Checkpoint(DenoiserModel(config, ParamSet(layout, flat)), step, seed, task)

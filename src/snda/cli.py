@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, read_checkpoint, save_checkpoint
 from .config import (ConfigError, RunConfig, integer, parse_config_file, set_key,
                      temperatures)
 from .data import PAD, Vocab, encode, decode, load_corpus, TokenSeq
@@ -62,12 +62,12 @@ def _checkpoint_path(cfg: RunConfig) -> str:
     return cfg.get("checkpoint") or "model.ckpt"
 
 
-def _save_run(cfg: RunConfig, model, lines: list[str], seed: int) -> int:
+def _save_run(cfg: RunConfig, model, lines: list[str], seed: int, task=None) -> int:
     ckpt_path = _checkpoint_path(cfg)
     log_path = cfg.get("out") or "metrics.log"
     with open(log_path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-    save_checkpoint(model, ckpt_path, seed=seed)
+    save_checkpoint(model, ckpt_path, seed=seed, task=task)
     print(f"checkpoint written to {ckpt_path}; metrics log in {log_path}")
     return 0
 
@@ -77,7 +77,7 @@ def cmd_train_task(cfg: RunConfig) -> int:
     lines: list[str] = []
     model, _ = train_synthetic(cfg.get("task"), seed=seed, log_fn=lines.append,
                                **_task_train_kwargs(cfg))
-    return _save_run(cfg, model, lines, seed)
+    return _save_run(cfg, model, lines, seed, (cfg.get("task"), _len_range(cfg)))
 
 
 def cmd_train_corpus(cfg: RunConfig) -> int:
@@ -97,15 +97,15 @@ def cmd_train_corpus(cfg: RunConfig) -> int:
     return _save_run(cfg, model, lines, seed)
 
 
-def _load_model(cfg: RunConfig, mode: str, does: str):
-    """--checkpoint's model and training seed. A model of another mode than
-    `mode` is a usage error that says what the command `does`, checked
-    before any other file is read."""
+def _load_model(cfg: RunConfig, mode: str, does: str) -> Checkpoint:
+    """--checkpoint's model with its training step, seed and task. A model
+    of another mode than `mode` is a usage error that says what the command
+    `does`, checked before any other file is read."""
     path = _require(cfg, "checkpoint")
-    model, _, seed = load_checkpoint(path)
-    if model.config.mode != mode:
-        raise ConfigError(f"{does}; {path} holds an {model.config.mode} model")
-    return model, seed
+    ckpt = read_checkpoint(path)
+    if ckpt.model.config.mode != mode:
+        raise ConfigError(f"{does}; {path} holds an {ckpt.model.config.mode} model")
+    return ckpt
 
 
 def _load_vocab(cfg: RunConfig, model) -> Vocab:
@@ -123,7 +123,7 @@ def _text(ids, vocab: Vocab) -> str:
 
 def cmd_sample(cfg: RunConfig) -> int:
     count = _count(cfg, 1)
-    model, _ = _load_model(cfg, "unconditional", "sample draws unconditional chains")
+    model = _load_model(cfg, "unconditional", "sample draws unconditional chains").model
     vocab = _load_vocab(cfg, model)
     scfg = SamplerConfig(**cfg.sampler)
     samples = draw_samples(model, scfg, count, scfg.seed)
@@ -132,7 +132,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def cmd_translate(cfg: RunConfig) -> int:
-    model, _ = _load_model(cfg, "encoder_decoder", "translate decodes from a source")
+    model = _load_model(cfg, "encoder_decoder", "translate decodes from a source").model
     vocab = _load_vocab(cfg, model)
     N_source = model.config.N_source
     sources = []
@@ -154,7 +154,8 @@ def cmd_translate(cfg: RunConfig) -> int:
 
 
 def cmd_inpaint(cfg: RunConfig) -> int:
-    model, _ = _load_model(cfg, "unconditional", "inpaint fills a template by unconditional chains")
+    model = _load_model(cfg, "unconditional",
+                        "inpaint fills a template by unconditional chains").model
     vocab = _load_vocab(cfg, model)
     text = _require(cfg, "template")
     parts = Vocab.split(text, vocab.kind)
@@ -176,9 +177,17 @@ def cmd_inpaint(cfg: RunConfig) -> int:
 def cmd_eval_task(cfg: RunConfig) -> int:
     count = _count(cfg, 100)
     # the checkpoint's training seed fixed the task's cipher, and its v the task's tokens
-    model, seed = _load_model(cfg, "encoder_decoder", "eval --task decodes from a source")
-    pairs = heldout_pairs(cfg.get("task"), seed, count, _len_range(cfg),
-                          model.config.v - 2, model.config.N)
+    model, _, seed, trained = _load_model(cfg, "encoder_decoder",
+                                          "eval --task decodes from a source")
+    task, len_range = cfg.get("task"), _len_range(cfg)
+    if trained is not None:     # flags may only repeat the task the model was trained on
+        given = {"task": task, "len_min": len_range[0], "len_max": len_range[1]}
+        for key, value in zip(given, (trained[0], *trained[1])):
+            if key in cfg.top and given[key] != value:
+                raise ConfigError(f"--{key} {given[key]} disagrees with {cfg.get('checkpoint')}, "
+                                  f"trained with --{key} {value}")
+        task, len_range = trained
+    pairs = heldout_pairs(task, seed, count, len_range, model.config.v - 2, model.config.N)
     acc = exact_match(model, pairs, SamplerConfig(**cfg.sampler))
     _emit(cfg, [f"variant=eval metric=exact_match value={acc:.6f}"])
     return 0
@@ -187,7 +196,7 @@ def cmd_eval_task(cfg: RunConfig) -> int:
 def cmd_eval_corpus(cfg: RunConfig) -> int:
     temps = temperatures("temps", _require(cfg, "temps"))
     count = _count(cfg, 50, least=2)    # self-BLEU scores each sample against the others
-    model, _ = _load_model(cfg, "unconditional", "eval --corpus draws unconditional chains")
+    model = _load_model(cfg, "unconditional", "eval --corpus draws unconditional chains").model
     scfg = SamplerConfig(**cfg.sampler)
     corpus_path = _require(cfg, "corpus")
     vocab = _load_vocab(cfg, model)
@@ -208,7 +217,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     if min(T_values) < 1:
         raise ConfigError(f"steps must be >= 1, got {min(T_values)}")
     if "checkpoint" in cfg.top:
-        model, _ = _load_model(cfg, "unconditional", "bench times unconditional decoding")
+        model = _load_model(cfg, "unconditional", "bench times unconditional decoding").model
     else:
         mcfg = desk_model_config(mode="unconditional",
                                  **{"v": 32, "N": 64, **cfg.model})
@@ -306,7 +315,9 @@ def _usage() -> str:
              "Chains read --sampler.* (T, seed, ...); --steps is bench's",
              "comma-separated list of T values, --seed the run seed of train,",
              "bench and ablate. eval --task takes its task's seed and v_task from",
-             "the checkpoint. Seeds must be >= 0.", "",
+             "the checkpoint, and --len_min and --len_max too where the checkpoint",
+             "records its task: a flag that disagrees with that record is an",
+             "error. Seeds must be >= 0.", "",
              "commands:"]
     for b in COMMANDS:
         reads = [f"--{k}" for k in b.keys] + [f"--{s}.*" for s in b.sections]

@@ -291,8 +291,8 @@ def translate(model, sources, sampler_cfg: SamplerConfig,
     """Best reranked chain state for each source (a TokenSeq); source i
     decodes with sampler seed `sampler_cfg.seed + 65537 * i`.
 
-    Sources are encoded together, and their reranked chains run as one
-    batch per group of CHAIN_ROWS // rerank_width sources, so at most
+    Sources are encoded and decoded one group of CHAIN_ROWS // rerank_width
+    at a time, the group's reranked chains as one batch of at most
     CHAIN_ROWS chains; a rerank_width past CHAIN_ROWS decodes one source,
     and its rerank_width chains, at a time. With use_length_pred off the
     conditioning carries a constant length embedding instead of the

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import (ParamSet, Tensor, attention, concat, dropout, embedding,
-                       ffn, layer_norm, linear, softmax_array)
+                       ffn, layer_norm, linear, recording, softmax_array)
 
 
 @dataclass
@@ -181,14 +181,22 @@ def _maybe_drop(x: Tensor, rate: float, train: bool, rng) -> Tensor:
 
 
 def _stack(model: DenoiserModel, prefix: str, x: Tensor, self_mask,
-           cond: Conditioning | None, train: bool, rng) -> Tensor:
+           cond: Conditioning | None, train: bool, rng,
+           positions: np.ndarray | None = None) -> Tensor:
+    """The `prefix` layers over x [B, T, d]. With `positions` [B, k] (no
+    tape), the last layer's self-attention takes keys and values from every
+    position and everything else in it runs at those positions only, row by
+    row as before; the result is then [B, k, d]."""
     cfg, p = model.config, model.params
     rate = cfg.dropout
     for i in range(cfg.layers):
         name = f"{prefix}{i}"
-        h = layer_norm(x, p[f"{name}.ln1.g"], p[f"{name}.ln1.b"])
+        h = q = layer_norm(x, p[f"{name}.ln1.g"], p[f"{name}.ln1.b"])
+        if positions is not None and i == cfg.layers - 1:
+            rows = np.arange(len(positions))[:, None]
+            x, q = Tensor(x.data[rows, positions]), Tensor(h.data[rows, positions])
         x = x + _maybe_drop(
-            _attention(p, f"{name}.self", h, h, cfg.heads, self_mask),
+            _attention(p, f"{name}.self", q, h, cfg.heads, self_mask),
             rate, train, rng)
         if cond is not None:
             # Each layer reads the memory through its own view, so backward
@@ -208,21 +216,30 @@ def _stack(model: DenoiserModel, prefix: str, x: Tensor, self_mask,
 
 
 def _transformer(model: DenoiserModel, prefix: str, ids: np.ndarray, pos_emb: str,
-                 self_mask, cond: Conditioning | None, train: bool, rng) -> Tensor:
+                 self_mask, cond: Conditioning | None, train: bool, rng,
+                 positions: np.ndarray | None = None) -> Tensor:
     """Token + position embedding, the `prefix` layer stack and its final
     layer norm: the decoder ("dec") or the source encoder ("enc")."""
     p = model.params
     h = embedding(p["tok_emb"], ids) + p[pos_emb]
     h = _maybe_drop(h, model.config.dropout, train, rng)
-    h = _stack(model, prefix, h, self_mask, cond, train, rng)
+    h = _stack(model, prefix, h, self_mask, cond, train, rng, positions)
     return layer_norm(h, p[f"{prefix}_ln.g"], p[f"{prefix}_ln.b"])
 
 
 def denoise_logits(model: DenoiserModel, x, cond: Conditioning | None = None,
                    train_mode: bool = False, rng: np.random.Generator | None = None,
-                   causal: bool = False) -> Tensor:
+                   causal: bool = False, positions=None) -> Tensor:
     """Full [*, N, v] logits for input token ids [*, N]. `causal` lets each
-    position attend only to itself and earlier ones (bench's greedy baseline)."""
+    position attend only to itself and earlier ones (bench's greedy baseline).
+
+    With `positions` [*, k] (inference only: no tape, no train mode, not
+    causal), the logits [*, k, v] at those positions of each row: the last
+    layer runs its queries, FFN, final layer norm and head at those
+    positions only. They equal the full logits there bit for bit wherever
+    the BLAS computes a row of a product the same whatever the number of
+    rows, as chains batched with other chains already require.
+    """
     cfg = model.config
     ids = np.asarray(x, dtype=np.int64)
     single = ids.ndim == 1
@@ -232,10 +249,32 @@ def denoise_logits(model: DenoiserModel, x, cond: Conditioning | None = None,
         raise ValueError(f"expected sequence length {cfg.N}, got {ids.shape[1]}")
     if cfg.mode == "encoder_decoder" and cond is None:
         raise ValueError("encoder_decoder mode requires conditioning")
+    one_row = False
+    if positions is not None:
+        positions = np.asarray(positions)
+        if single:
+            positions = positions[None]
+        if recording() or train_mode or causal:
+            raise ValueError("positions are for inference only: under no_grad, "
+                             "without train_mode or causal")
+        if (positions.ndim != 2 or len(positions) != len(ids)
+                or positions.dtype.kind not in "iu"):
+            raise ValueError(f"expected integer positions of shape [{len(ids)}, k], "
+                             f"got {positions.dtype} {positions.shape}")
+        if positions.size and not (positions.min() >= 0 and positions.max() < cfg.N):
+            raise ValueError(f"positions out of range [0, {cfg.N})")
+        # numpy multiplies a one-row matrix by gemv, whose sums may differ
+        # from the gemm that a full forward's rows take: repeat the position
+        one_row = positions.shape[1] == 1 and cfg.N > 1
+        if one_row:
+            positions = np.repeat(positions, 2, axis=1)
     self_mask = np.tril(np.ones((cfg.N, cfg.N), dtype=bool)) if causal else None
-    h = _transformer(model, "dec", ids, "pos_emb", self_mask, cond, train_mode, rng)
+    h = _transformer(model, "dec", ids, "pos_emb", self_mask, cond, train_mode, rng,
+                     positions)
     logits = _linear(model.params, "head", h)
-    return logits.reshape(cfg.N, cfg.v) if single else logits
+    if one_row:
+        logits = Tensor(logits.data[:, :1])
+    return logits.reshape(logits.shape[1:]) if single else logits
 
 
 def _length_logits(model: DenoiserModel, enc: np.ndarray, lens: np.ndarray,

@@ -181,6 +181,11 @@ def no_grad():
         _recording.reset(token)
 
 
+def recording() -> bool:
+    """Whether operations record a tape here (outside every `no_grad`)."""
+    return _recording.get()
+
+
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
     req = _recording.get() and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req)

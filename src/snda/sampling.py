@@ -68,8 +68,12 @@ class Template:
     clamp_mask: np.ndarray  # [N], 1 = fixed context token
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        self.clamp_mask = np.asarray(self.clamp_mask).astype(bool)
+        tokens, clamp = np.asarray(self.tokens), np.asarray(self.clamp_mask)
+        if tokens.dtype.kind not in "iu":
+            raise ValueError(f"template tokens must be integer ids, got {tokens.dtype}")
+        if not ((clamp == 0) | (clamp == 1)).all():
+            raise ValueError("template clamp_mask entries must be 0/1 or boolean")
+        self.tokens, self.clamp_mask = tokens.astype(np.int64), clamp.astype(bool)
         if self.tokens.shape != self.clamp_mask.shape:
             raise ValueError("template tokens and clamp mask differ in length")
 
@@ -90,22 +94,37 @@ def sample_step_low_temp(logits: np.ndarray, y_prev: np.ndarray, tau: float,
     tempered softmax and one inverse-CDF lookup serve the drawn positions
     of every row.
     """
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
     y = np.array(y_prev, dtype=np.int64)
     if len(rngs) != len(y):
         raise ValueError(f"{len(y)} chains need {len(y)} rngs, got {len(rngs)}")
     free = np.flatnonzero(~clamp_mask) if clamp_mask is not None else np.arange(y.shape[1])
-    k = min(update_count, len(free))
-    if k == 0:
-        return y
-    sel = np.empty((len(y), k), dtype=np.int64)
-    u = np.empty((len(y), k, 1))
-    for b, rng in enumerate(rngs):
-        sel[b] = rng.choice(free, size=k, replace=False)
-        u[b] = rng.random((k, 1))
-    rows = np.arange(len(y))[:, None]
-    y[rows, sel] = inverse_cdf(logits[rows, sel], u, tau)
+    sel = _draw_positions(free, update_count, rngs)
+    return _resample(y, sel, logits[np.arange(len(y))[:, None], sel], tau, rngs)
+
+
+def _draw_positions(free: np.ndarray, count: int,
+                    rngs: list[np.random.Generator]) -> np.ndarray:
+    """Per rng, min(count, len(free)) distinct positions of `free`, [len(rngs), k]."""
+    k = min(count, len(free))
+    sel = np.empty((len(rngs), k), dtype=np.int64)
+    if k:
+        for b, rng in enumerate(rngs):
+            sel[b] = rng.choice(free, size=k, replace=False)
+    return sel
+
+
+def _resample(y: np.ndarray, sel: np.ndarray, logits: np.ndarray, tau: float,
+              rngs: list[np.random.Generator]) -> np.ndarray:
+    """y [B, N] with the positions sel [B, k] of each row redrawn at
+    temperature tau from their logits [B, k, v], by uniforms row b draws
+    from rngs[b]; y itself is overwritten."""
+    if tau <= 0:
+        raise ValueError("temperature must be positive")
+    if sel.shape[1]:
+        u = np.empty(sel.shape + (1,))
+        for b, rng in enumerate(rngs):
+            u[b] = rng.random((sel.shape[1], 1))
+        y[np.arange(len(y))[:, None], sel] = inverse_cdf(logits, u, tau)
     return y
 
 
@@ -171,11 +190,17 @@ def _take(cond: Conditioning | None, chains: np.ndarray) -> Conditioning | None:
 
 
 def _distinct_logits(model: DenoiserModel, x: np.ndarray, chains: np.ndarray,
-                     cond: Conditioning | None, groups: list[int]) -> np.ndarray:
+                     cond: Conditioning | None, groups: list[int],
+                     sel: np.ndarray | None = None) -> np.ndarray:
     """Denoiser logits [len(chains), N, v] of the states x of the given
     chains (distinct, ascending), from one forward over the distinct (conditioning
     group, state) rows among them. Rows of the forward are independent, so
-    each chain gets the logits it would get alone."""
+    each chain gets the logits it would get alone.
+
+    With sel [len(chains), k], each chain's logits at its positions sel
+    only, [len(chains), k, v]: the forward's last layer runs at the union of
+    the positions of the chains that share a row (padded with other
+    positions of the row to the widest union)."""
     if len(chains) > 1:
         slots, pick, inverse = {}, [], []
         for k, (b, row) in enumerate(zip(chains, x)):
@@ -184,8 +209,18 @@ def _distinct_logits(model: DenoiserModel, x: np.ndarray, chains: np.ndarray,
                 pick.append(k)
             inverse.append(j)
         if len(pick) < len(x):
-            return denoise_logits(model, x[pick], _take(cond, chains[pick])).data[inverse]
-    return denoise_logits(model, x, _take(cond, chains)).data
+            kept = x[pick], _take(cond, chains[pick])
+            if sel is None:
+                return denoise_logits(model, *kept).data[inverse]
+            at = np.array(inverse)[:, None]
+            hit = np.zeros((len(pick), x.shape[1]), dtype=bool)
+            hit[at, sel] = True
+            # each row's hit positions first, ascending: position p of row j is
+            # column cumsum(hit[j])[p] - 1
+            union = np.argsort(~hit, axis=1, kind="stable")[:, :hit.sum(axis=1).max()]
+            logits = denoise_logits(model, *kept, positions=union).data
+            return logits[at, (np.cumsum(hit, axis=1) - 1)[at, sel]]
+    return denoise_logits(model, x, _take(cond, chains), positions=sel).data
 
 
 @no_grad()
@@ -200,10 +235,15 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
     the distinct (conditioning row, state) pairs of the chains still
     running, whose logits chains with equal pairs share, and, for low_temp,
     one tempered softmax over the positions they resample; only the rng
-    draws run chain by chain. Chains that stop early leave the batch and are
-    scored together with the logits their last step computed, since their
-    final states are that step's inputs; the other chains share one scoring
-    forward at the end, over their distinct pairs too. `cond` holds one row
+    draws run chain by chain. A low_temp step that resamples a strict subset
+    of the free positions (update_fraction below 1, or the triangular
+    schedule's short steps) draws each chain's positions before its forward,
+    whose last layer then runs at those positions only, and their uniforms
+    after it. Chains that stop early leave the batch. Those stopping on a
+    step that resampled every free position (and on any argmax_unrolled
+    step) are scored together with the logits that step computed, since
+    their final states are its inputs; every other chain is scored in one
+    forward at the end, over the distinct pairs too. `cond` holds one row
     per chain; no seeds give no traces. A template must have the model's
     length N, and its clamped ids must lie in [0, v).
     """
@@ -211,6 +251,7 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
     if mcfg.mode == "encoder_decoder" and cond is None:
         raise ValueError("encoder_decoder mode requires conditioning")
     clamp = init.clamp_mask if init is not None else None
+    free = np.arange(mcfg.N)
     if clamp is not None:
         if init.tokens.shape != (mcfg.N,):
             raise ValueError(f"template of shape {init.tokens.shape} for a model of "
@@ -219,12 +260,12 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
         if len(fixed) and not (fixed.min() >= 0 and fixed.max() < mcfg.v):
             bad = np.unique(fixed[(fixed < 0) | (fixed >= mcfg.v)]).tolist()
             raise ValueError(f"clamped template ids {bad} out of range [0, {mcfg.v})")
+        free = np.flatnonzero(~clamp)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     B = len(rngs)
     if cond is not None and len(cond.key_mask) != B:
         raise ValueError("conditioning needs one row per chain")
     groups = _cond_groups(cond, B)
-    n_free = mcfg.N if clamp is None else int((~clamp).sum())
     x = np.array([rng.integers(0, mcfg.v, size=mcfg.N) for rng in rngs],
                  dtype=np.int64).reshape(B, mcfg.N)
     if clamp is not None:
@@ -234,6 +275,7 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
     lam = None          # argmax_unrolled: every chain's latest step logits
     for t in range(1, cfg.T + 1):
         rows = x[active]
+        logits = None   # the step's full logits, which score the chains that stop on it
         if cfg.strategy == "argmax_unrolled":
             logits = _distinct_logits(model, rows, active, cond, groups)
             if lam is None:
@@ -243,21 +285,28 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
             y = argmax_unrolled_step(model, logits, rows, lam[active], rho,
                                      _take(cond, active), clamp)
             lam[active] = logits
+            resampled = True
         else:
-            count = _step_count(cfg, t, mcfg.N)
-            logits = (_distinct_logits(model, rows, active, cond, groups)
-                      if min(count, n_free) else None)
-            y = rows if logits is None else sample_step_low_temp(
-                logits, rows, cfg.temperature, count, clamp, [rngs[b] for b in active])
+            step_rngs = [rngs[b] for b in active]
+            sel = _draw_positions(free, _step_count(cfg, t, mcfg.N), step_rngs)
+            resampled = sel.shape[1] > 0
+            y = rows
+            if resampled:
+                if sel.shape[1] < len(free):    # the last layer runs at sel only
+                    picked = _distinct_logits(model, rows, active, cond, groups, sel)
+                else:
+                    logits = _distinct_logits(model, rows, active, cond, groups)
+                    picked = logits[np.arange(len(rows))[:, None], sel]
+                y = _resample(rows.copy(), sel, picked, cfg.temperature, step_rngs)
         n_changed = (y != rows).sum(axis=1)
         x[active] = y
         for k, b in enumerate(active):
             traces[b].states.append(y[k])     # each step's y is fresh and never written again
             traces[b].changed.append(int(n_changed[k]))
         # a step that resampled nothing (triangular, T > 2N) says nothing of convergence
-        if cfg.early_stop and logits is not None:
+        if cfg.early_stop and resampled:
             stopped = n_changed == 0
-            if stopped.any():
+            if logits is not None and stopped.any():
                 for b, score in zip(active[stopped], _chain_scores(logits[stopped], y[stopped])):
                     traces[b].final_score = score
             active = active[~stopped]

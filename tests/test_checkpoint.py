@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from snda.checkpoint import (MAGIC, VERSION, CheckpointError, load_checkpoint,
-                             save_checkpoint)
+                             read_checkpoint, save_checkpoint)
 
 
 def _assert_round_trip(model, path):
@@ -170,3 +170,29 @@ def test_metadata_dtype_the_tape_cannot_hold_rejected(tiny_model, tmp_path, dtyp
     _edit_metadata(path, bad, lambda meta: meta["model_config"].update(dtype=dtype))
     with pytest.raises(CheckpointError, match="dtype"):
         load_checkpoint(bad)
+
+
+def test_task_record_round_trip(tiny_encdec, tmp_path):
+    path, plain = str(tmp_path / "task.ckpt"), str(tmp_path / "plain.ckpt")
+    save_checkpoint(tiny_encdec, path, step=4, seed=5, task=("reverse_cipher", (2, 6)))
+    save_checkpoint(tiny_encdec, plain, step=4, seed=5)
+    ckpt = read_checkpoint(path)
+    assert ckpt.task == ("reverse_cipher", (2, 6)) and (ckpt.step, ckpt.seed) == (4, 5)
+    # the record is an optional key of the same format version
+    raw = open(path, "rb").read()
+    assert int.from_bytes(raw[4:8], "little") == VERSION
+    assert load_checkpoint(path)[1:] == (4, 5)
+    assert read_checkpoint(plain).task is None
+    assert b'"task"' not in open(plain, "rb").read()
+
+
+@pytest.mark.parametrize("record", [
+    "copy", {"kind": "copy"}, {"kind": 3, "len_range": [2, 6]},
+    {"kind": "copy", "len_range": [2]}, {"kind": "copy", "len_range": [2, 6.5]},
+], ids=["string", "no-range", "kind-int", "short-range", "float-range"])
+def test_malformed_task_record_rejected(tiny_encdec, tmp_path, record):
+    path, bad = str(tmp_path / "m.ckpt"), str(tmp_path / "bad.ckpt")
+    save_checkpoint(tiny_encdec, path)
+    _edit_metadata(path, bad, lambda meta: meta.update(task=record))
+    with pytest.raises(CheckpointError, match="metadata"):
+        read_checkpoint(bad)

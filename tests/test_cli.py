@@ -12,7 +12,7 @@ import pytest
 
 import snda
 from snda import cli, evaluation
-from snda.checkpoint import load_checkpoint, save_checkpoint
+from snda.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from snda.cli import run
 from snda.data import Vocab, decode, encode, TokenSeq
 from snda.sampling import SamplerConfig
@@ -434,6 +434,41 @@ def test_eval_task_reads_its_task_from_the_checkpoint(tiny_ckpts, tiny_encdec, c
     # v = v_task + 2: the pad and unk ids
     assert seen == [("reverse_cipher", 5, 3, (2, 6), 6, 8)]
     assert "metric=exact_match" in capsys.readouterr().out
+
+
+def test_train_task_records_its_task(in_tmp, capsys):
+    assert run(TRAIN_TASK + ["--checkpoint", "m.ckpt"]) == 0
+    assert read_checkpoint("m.ckpt").task == ("copy", (2, 6))
+
+
+@pytest.mark.parametrize("flags, error", [
+    ("--task copy", "--task copy disagrees with mt5.ckpt, trained with --task reverse_cipher"),
+    ("--task reverse_cipher --len_min 3", "--len_min 3 disagrees with mt5.ckpt, "
+                                          "trained with --len_min 2"),
+    ("--task reverse_cipher --len_min 2 --len_max 14", "--len_max 14 disagrees with "
+                                                       "mt5.ckpt, trained with --len_max 6"),
+], ids=["task", "len_min", "len_max"])
+def test_eval_task_flags_must_repeat_the_recorded_task(tiny_ckpts, tiny_encdec, capsys,
+                                                       flags, error):
+    save_checkpoint(tiny_encdec, "mt5.ckpt", seed=5, task=("reverse_cipher", (2, 6)))
+    assert run(f"eval --checkpoint mt5.ckpt {flags} --count 3 --sampler.T 1".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {error}\n" in captured.err
+
+
+def test_eval_task_takes_its_length_range_from_the_record(tiny_ckpts, tiny_encdec, capsys,
+                                                          monkeypatch):
+    seen, real = [], cli.heldout_pairs
+    monkeypatch.setattr(cli, "heldout_pairs", lambda *args: seen.append(args) or real(*args))
+    save_checkpoint(tiny_encdec, "mt5.ckpt", seed=5, task=("reverse_cipher", (2, 6)))
+    for flags in ("", " --len_min 2", " --len_min 2 --len_max 6"):
+        assert run(f"eval --checkpoint mt5.ckpt --task reverse_cipher{flags} --count 3 "
+                   "--sampler.T 1".split()) == 0
+    assert seen == [("reverse_cipher", 5, 3, (2, 6), 6, 8)] * 3
+    # without a record the flags hold as they are
+    assert run("eval --checkpoint mt.ckpt --task copy --len_min 2 --len_max 5 --count 3 "
+               "--sampler.T 1".split()) == 0
+    assert seen[-1] == ("copy", 0, 3, (2, 5), 6, 8)
 
 
 @pytest.mark.parametrize("argv, ckpt, mode", [

@@ -7,7 +7,7 @@ import pytest
 
 from snda.model import (ModelConfig, build_conditioning, denoise_logits,
                         init_model, length_class)
-from snda.numerics import (Tensor, attention, concat, ffn, grad_check, linear,
+from snda.numerics import (Tensor, attention, concat, ffn, grad_check, linear, no_grad,
                            softmax_array)
 
 
@@ -153,6 +153,53 @@ def test_conditioned_forward_is_pinned(tiny_encdec):
         cond, _ = build_conditioning(tiny_encdec, src, lens, target_length=target)
         h.update(denoise_logits(tiny_encdec, x, cond).data.astype("<f4").tobytes())
     assert h.hexdigest()[:16] == "30afbb3c2a7d6bc8"
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("B", [1, 5])
+@pytest.mark.parametrize("fixture", ["tiny_model", "tiny_encdec"])
+def test_logits_at_positions_equal_the_full_logits_there(request, fixture, B, dtype):
+    # tiny_encdec has one layer, so its last layer is also its first, and it
+    # cross-attends a padded source through a key mask
+    model = request.getfixturevalue(fixture).astype(dtype)
+    rng = np.random.default_rng(B)
+    x = rng.integers(0, 8, size=(B, 8))
+    cond = None
+    if fixture == "tiny_encdec":
+        lens = rng.integers(1, 8, size=B)
+        src = np.where(np.arange(8) < lens[:, None], rng.integers(2, 8, size=(B, 8)), 0)
+        cond, _ = build_conditioning(model, src, lens)
+        assert not cond.key_mask.all()
+    with no_grad():
+        full = denoise_logits(model, x, cond).data
+        for k in (1, 2, 5, 8):
+            # each row its own positions, unsorted, once with a repeat
+            pos = np.stack([rng.choice(8, k, replace=False) for _ in range(B)])
+            if k == 5:
+                pos[:, -1] = pos[:, 0]
+            part = denoise_logits(model, x, cond, positions=pos).data
+            assert part.dtype == np.dtype(dtype) and part.shape == (B, k, 8)
+            assert np.array_equal(part, np.take_along_axis(full, pos[..., None], axis=1))
+        one = denoise_logits(model, x[0], None if cond is None else cond.take([0]),
+                             positions=pos[0]).data
+        assert np.array_equal(one, part[0])
+
+
+def test_positions_are_checked(tiny_model):
+    x = np.zeros((2, 8), dtype=np.int64)
+    with no_grad():
+        for bad in ([[0, 8], [1, 2]], [[-1, 0], [1, 2]], [[0, 1]], [[[0], [1]]], [0, 1],
+                    [[0.0, 1.0], [1.0, 2.0]]):
+            with pytest.raises(ValueError, match="positions"):
+                denoise_logits(tiny_model, x, positions=np.array(bad))
+        with pytest.raises(ValueError, match="inference only"):
+            denoise_logits(tiny_model, x, causal=True, positions=[[0], [1]])
+        with pytest.raises(ValueError, match="inference only"):
+            denoise_logits(tiny_model, x, train_mode=True, rng=np.random.default_rng(0),
+                           positions=[[0], [1]])
+    # outside no_grad the forward records a tape
+    with pytest.raises(ValueError, match="inference only"):
+        denoise_logits(tiny_model, x, positions=[[0], [1]])
 
 
 def test_astype_round_trip(tiny_model):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from snda.model import ModelConfig, build_conditioning, denoise_logits, init_model
-from snda.numerics import NumericError
-from snda.sampling import (SamplerConfig, Template,
+from snda.numerics import NumericError, no_grad
+from snda.sampling import (SamplerConfig, Template, _chain_scores,
                            argmax_unrolled_step, exact_chain_prob, model_score,
                            rerank, rerank_seeds, sample_chain, sample_chains,
                            sample_step_low_temp, transition_matrix,
@@ -172,6 +172,24 @@ def test_template_validates_shapes():
         Template(np.zeros(4, dtype=np.int64), np.zeros(5))
 
 
+@pytest.mark.parametrize("tokens, clamp, field", [
+    (np.arange(8) + 0.5, np.zeros(8), "tokens"),
+    (np.arange(8.0), np.zeros(8), "tokens"),
+    (np.arange(8), [2, 0, 0, 0, 0, 0, 0, 0], "clamp_mask"),
+    (np.arange(8), [0.5] * 8, "clamp_mask"),
+    (np.arange(8), [-1, 1, 1, 1, 0, 0, 0, 0], "clamp_mask"),
+], ids=["half-ids", "float-ids", "clamp-2", "clamp-half", "clamp-negative"])
+def test_template_refuses_what_it_would_round(tokens, clamp, field):
+    with pytest.raises(ValueError, match=f"template {field}"):
+        Template(tokens, clamp)
+    # ids of any integer type, and boolean or 0/1 masks of any type, are kept as they are
+    for mask in ([1, 0, 0, 1, 0, 0, 0, 1], np.array([1.0, 0, 0, 1, 0, 0, 0, 0]),
+                 np.arange(8) < 3):
+        t = Template(np.arange(8, dtype=np.uint8), mask)
+        assert t.tokens.dtype == np.int64 and t.tokens.tolist() == list(range(8))
+        assert t.clamp_mask.tolist() == [bool(m) for m in mask]
+
+
 @pytest.mark.parametrize("strategy", ["low_temp", "argmax_unrolled"])
 @pytest.mark.parametrize("tokens, clamp, message", [
     ([0] * 9, [1] * 9, r"template of shape \(9,\) for a model of sequence length 8"),
@@ -238,8 +256,9 @@ def test_low_temp_step_work_is_batched_across_chains(tiny_model, monkeypatch):
     forwards, softmaxes, scored = [], [], []
     logits, softmax, nll = sampling.denoise_logits, training.softmax_array, sampling.nll_array
     monkeypatch.setattr(sampling, "denoise_logits",
-                        lambda model, x, *a, **k: forwards.append(np.shape(x)[0]) or
-                        logits(model, x, *a, **k))
+                        lambda model, x, *a, positions=None, **k:
+                        forwards.append((np.shape(x)[0], np.shape(positions))) or
+                        logits(model, x, *a, positions=positions, **k))
     monkeypatch.setattr(training, "softmax_array",
                         lambda z, tau: softmaxes.append((z.shape, tau)) or softmax(z, tau))
     monkeypatch.setattr(sampling, "nll_array",
@@ -250,15 +269,71 @@ def test_low_temp_step_work_is_batched_across_chains(tiny_model, monkeypatch):
     ran_all = [t.changed[-1] != 0 for t in traces]
     assert 0 < sum(ran_all) < 6 and len(set(steps)) > 2
     running = [sum(n >= t for n in steps) for t in range(1, cfg.T + 1)]
-    # one forward per step over the running chains, then one scoring forward
-    assert forwards == running + [sum(ran_all)]
+    # one forward per step over the running chains, whose last layer runs at
+    # their 4 resampled positions only; no step resamples every position, so
+    # every chain is scored in one full forward at the end, over the distinct
+    # final states
+    finals = len({t.states[-1].tobytes() for t in traces})
+    assert forwards == [(rows, (rows, 4)) for rows in running] + [(finals, ())]
     # one tempered softmax per step over the 4 resampled positions of every
     # running chain
     assert softmaxes == [((rows, 4, 8), cfg.temperature) for rows in running]
-    # one scoring pass per step at which chains stopped, and one at the end
-    stopped = [sum(n == t and not r for n, r in zip(steps, ran_all))
-               for t in range(1, cfg.T + 1)]
-    assert scored == [n for n in stopped if n] + [sum(ran_all)]
+    assert scored == [6]
+
+
+@pytest.mark.parametrize("peaked", [False, True], ids=["some-run-all-T", "all-stop-early"])
+@pytest.mark.parametrize("conditioned", [False, True], ids=["template", "translate"])
+def test_full_update_chains_run_one_forward_per_step(tiny_model, tiny_encdec, monkeypatch,
+                                                     conditioned, peaked):
+    import snda.sampling as sampling
+    model = tiny_encdec if conditioned else tiny_model
+    if peaked:      # logits that ignore the input: every chain stops on its second step
+        model.params["head.w"].data[...] = 0
+        model.params["head.b"].data[...] = 10 * np.arange(8)
+    init = None if conditioned else Template(np.arange(8), np.arange(8) < 3)
+    cond = None
+    if conditioned:
+        cond, _ = build_conditioning(model, np.array([[2, 3, 4, 5, 0, 0, 0, 0],
+                                                      [5, 6, 7, 0, 0, 0, 0, 0]]), [4, 3])
+        cond = cond.take([0] * 4 + [1] * 4)
+    calls, forward = [], sampling.denoise_logits
+    monkeypatch.setattr(sampling, "denoise_logits",
+                        lambda *a, positions=None, **k: calls.append(positions) or
+                        forward(*a, positions=positions, **k))
+    # the translate and inpaint default: each step resamples every free position
+    cfg = SamplerConfig(T=4, temperature=0.3)
+    traces = sample_chains(model, cfg, rerank_seeds(0, 8), init, cond)
+    steps = max(len(t.changed) for t in traces)
+    ran_all = any(t.changed[-1] != 0 for t in traces)
+    assert (steps, ran_all) == ((2, False) if peaked else (4, True))
+    # one full forward per step, and a scoring one only for chains that ran all T steps
+    assert calls == [None] * (steps + ran_all)
+
+
+def test_chains_that_share_a_row_get_their_own_positions(tiny_model, monkeypatch):
+    import snda.sampling as sampling
+    x = np.random.default_rng(0).integers(0, 8, size=(3, 8))[[0, 1, 0, 2, 0]]
+    sel = np.array([[0, 5], [1, 2], [7, 5], [3, 4], [2, 6]])    # chains 0, 2 and 4 share a row
+    calls, forward = [], sampling.denoise_logits
+    monkeypatch.setattr(sampling, "denoise_logits",
+                        lambda model, x, *a, positions=None, **k:
+                        calls.append((len(x), np.shape(positions))) or
+                        forward(model, x, *a, positions=positions, **k))
+    with no_grad():
+        got = sampling._distinct_logits(tiny_model, x, np.arange(5), None, [0] * 5, sel)
+        full = forward(tiny_model, x).data
+    # one forward over the 3 distinct rows, at the 5 positions of the shared row's union
+    assert calls == [(3, (3, 5))]
+    assert np.array_equal(got, np.take_along_axis(full, sel[..., None], axis=1))
+
+
+def test_partial_update_chains_are_scored_over_their_final_state(tiny_model):
+    cfg = SamplerConfig(T=8, temperature=0.03, update_fraction=0.5)
+    traces = sample_chains(tiny_model, cfg, range(8))
+    assert any(len(t.changed) < cfg.T for t in traces)
+    for t in traces:
+        y = t.states[-1][None]
+        assert t.final_score == _chain_scores(denoise_logits(tiny_model, y).data, y)[0]
 
 
 @pytest.mark.parametrize("strategy", ["low_temp", "argmax_unrolled"])
