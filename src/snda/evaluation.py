@@ -20,12 +20,15 @@ from .model import build_conditioning
 from .numerics import no_grad
 from .sampling import SamplerConfig, rerank, rerank_seeds, sample_chains
 
-# Chain rows per batched decode in draw_samples and translate. It bounds the
-# memory of a large input; 32 rows decode as fast per row as 64 and keep the
-# activations a quarter of a MB per [rows, N, d] array. On one core, 64 rows
-# took 1.01 times as long per row as 32 for the trained cipher's chains and
-# 0.98 times for the character LM's (medians of 12 alternating repeats).
-CHAIN_ROWS = 32
+# Chain positions per batched decode in draw_samples and translate: a batch
+# holds CHAIN_TOKENS // N chains, so a [rows, N, d] float32 activation at
+# d = 64 stays a quarter of a MB whatever the model's N. With the heap kept
+# (snda/__init__.py) the N=16 cipher's 64-chain batches ran perfbench's
+# translate_cipher 9% faster than 32-chain ones (10 of 10 pairs, one core);
+# without it they faulted 35 pages a source back in. The N=32 character LM
+# keeps 32: 64 chains drew in 70.9 ms as two batches and 72.5 ms as one at
+# SamplerConfig's defaults, 84.3 against 92.9 ms at T=16, update fraction 0.3.
+CHAIN_TOKENS = 1024
 
 
 @dataclass
@@ -236,10 +239,12 @@ def strip_pad(ids: np.ndarray) -> list[int]:
 def draw_samples(model, sampler_cfg: SamplerConfig, count: int,
                  seed: int) -> list[list[int]]:
     """Final chain states of `count` independent unconditional chains, chain
-    i seeded `seed + i`, decoded in batches."""
+    i seeded `seed + i`, decoded in batches of CHAIN_TOKENS // N chains (at
+    least one) for the model's N."""
+    rows = max(1, CHAIN_TOKENS // model.config.N)
     out = []
-    for lo in range(0, count, CHAIN_ROWS):
-        seeds = range(seed + lo, seed + min(count, lo + CHAIN_ROWS))
+    for lo in range(0, count, rows):
+        seeds = range(seed + lo, seed + min(count, lo + rows))
         out += [strip_pad(trace.states[-1])
                 for trace in sample_chains(model, sampler_cfg, seeds)]
     return out
@@ -291,15 +296,16 @@ def translate(model, sources, sampler_cfg: SamplerConfig,
     """Best reranked chain state for each source (a TokenSeq); source i
     decodes with sampler seed `sampler_cfg.seed + 65537 * i`.
 
-    Sources are encoded and decoded one group of CHAIN_ROWS // rerank_width
-    at a time, the group's reranked chains as one batch of at most
-    CHAIN_ROWS chains; a rerank_width past CHAIN_ROWS decodes one source,
-    and its rerank_width chains, at a time. With use_length_pred off the
-    conditioning carries a constant length embedding instead of the
-    classifier's argmax (the ablation's "no length prediction" arm).
+    Sources are encoded and decoded one group of CHAIN_TOKENS // N //
+    rerank_width at a time for the model's N, the group's reranked chains as
+    one batch of at most CHAIN_TOKENS // N chains; a rerank_width past that
+    decodes one source, and its rerank_width chains, at a time. With
+    use_length_pred off the conditioning carries a constant length embedding
+    instead of the classifier's argmax (the ablation's "no length
+    prediction" arm).
     """
     width = sampler_cfg.rerank_width
-    group = max(1, CHAIN_ROWS // width)
+    group = max(1, CHAIN_TOKENS // model.config.N // width)
     bests = []
     for lo in range(0, len(sources), group):
         part = sources[lo: lo + group]

@@ -36,9 +36,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in ("unconditional", "encoder_decoder"):
             raise ValueError(f"unknown mode: {self.mode}")
-        if min(self.v, self.N, self.layers, self.d_model, self.heads,
-               self.d_ff, self.d_LP, self.length_downsample) < 1:
-            raise ValueError("all dimensions must be >= 1")
+        for name in ("v", "N", "layers", "d_model", "heads", "d_ff", "N_source",
+                     "d_LP", "length_downsample"):
+            value = getattr(self, name)
+            if name == "N_source" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by heads")
         if not 0.0 <= self.dropout < 1.0:

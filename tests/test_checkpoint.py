@@ -196,3 +196,15 @@ def test_malformed_task_record_rejected(tiny_encdec, tmp_path, record):
     _edit_metadata(path, bad, lambda meta: meta.update(task=record))
     with pytest.raises(CheckpointError, match="metadata"):
         read_checkpoint(bad)
+
+
+@pytest.mark.parametrize("kind", [float, lambda _: True, str], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("name", ["v", "N", "layers", "d_model", "heads", "d_ff", "N_source",
+                                  "d_LP", "length_downsample"])
+def test_metadata_dimension_that_is_not_an_integer_rejected(tiny_model, tmp_path, name, kind):
+    path, bad = str(tmp_path / "m.ckpt"), str(tmp_path / "bad.ckpt")
+    save_checkpoint(tiny_model, path)
+    _edit_metadata(path, bad, lambda meta: meta["model_config"].update(
+        {name: kind(meta["model_config"][name])}))
+    with pytest.raises(CheckpointError, match=f"metadata: {name} must be an integer"):
+        read_checkpoint(bad)

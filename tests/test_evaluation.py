@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import math
+import platform
+import resource
 import weakref
 from collections import Counter
 
@@ -10,11 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import snda
 from snda import evaluation
 from snda.data import PAD, TokenSeq
 from snda.evaluation import (BleuConfig, ClipTable, bleu, corpus_bleu, draw_samples, exact_match,
                              quality_diversity_curve, self_bleu, strip_pad, translate)
-from snda.sampling import SamplerConfig, sample_chains
+from snda.experiments import desk_model_config
+from snda.model import init_model
+from snda.sampling import SamplerConfig, rerank_seeds, sample_chains
 
 
 def test_bleu_perfect_match_is_100():
@@ -301,10 +306,34 @@ def test_quality_diversity_draws_each_temperature_as_one_batch(tiny_model, monke
     quality_diversity_curve(tiny_model, [0.5, 1.0], 8, [[2, 3]], sampler_cfg=cfg, seed=5)
     assert calls == [(0.5, list(range(5, 21))), (1.0, list(range(7924, 7940)))]
     calls.clear()
-    # 40 chains a temperature: one full group of CHAIN_ROWS and the rest
-    quality_diversity_curve(tiny_model, [0.5, 1.0], 20, [[2, 3]], sampler_cfg=cfg, seed=5)
-    assert calls == [(0.5, list(range(5, 37))), (0.5, list(range(37, 45))),
-                     (1.0, list(range(7924, 7956))), (1.0, list(range(7956, 7964)))]
+    # 140 chains a temperature: one full batch of CHAIN_TOKENS // N = 128
+    # chains and the rest
+    assert evaluation.CHAIN_TOKENS // tiny_model.config.N == 128
+    quality_diversity_curve(tiny_model, [0.5, 1.0], 70, [[2, 3]], sampler_cfg=cfg, seed=5)
+    assert calls == [(0.5, list(range(5, 133))), (0.5, list(range(133, 145))),
+                     (1.0, list(range(7924, 8052))), (1.0, list(range(8052, 8064)))]
+
+
+# sources per sample_chains call for tiny_encdec (N=8): CHAIN_TOKENS // N
+# // rerank_width, and one source at a time for a width past the budget
+@pytest.mark.parametrize("count, width, groups", [(40, 4, [32, 8]), (3, 130, [1, 1, 1])])
+def test_translate_groups_sources_by_the_token_budget(tiny_encdec, monkeypatch, count, width,
+                                                      groups):
+    calls = []
+
+    def recording(model, cfg, seeds, *args, **kwargs):
+        calls.append(list(seeds))
+        return sample_chains(model, cfg, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "sample_chains", recording)
+    assert evaluation.CHAIN_TOKENS // tiny_encdec.config.N == 128
+    sources = [TokenSeq(np.array([2, 3, 4, 0, 0, 0, 0, 0]), 3)] * count
+    translate(tiny_encdec, sources, SamplerConfig(T=2, rerank_width=width, seed=9))
+    want, lo = [], 0
+    for n in groups:
+        want.append([s for i in range(lo, lo + n) for s in rerank_seeds(9 + 65537 * i, width)])
+        lo += n
+    assert calls == want
 
 
 def test_quality_diversity_curve_is_pinned(tiny_model):
@@ -353,8 +382,8 @@ def test_exact_match_on_oracle_pairs(tiny_encdec):
 
 def test_batched_decoding_is_pinned(tiny_model, tiny_encdec):
     # outputs of the one-chain-at-a-time sampler that the batched chains
-    # replaced; chains stop early at different steps, and the inputs span
-    # more than CHAIN_ROWS chains
+    # replaced; chains stop early at different steps, and a batch holds 36
+    # or 40 chains
     rng = np.random.default_rng(5)
     sources = []
     for _ in range(12):
@@ -375,3 +404,17 @@ def test_batched_decoding_is_pinned(tiny_model, tiny_encdec):
                             40, 4):
         h.update(np.asarray(ids, dtype="<i8").tobytes() + b"|")
     assert h.hexdigest()[:16] == "929348741f085055"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's mallopt")
+def test_repeated_draw_finds_its_heap_resident():
+    # importing snda pads the top of glibc's heap, so a second identical
+    # decode reuses the first one's pages; with the heap trimmed after each
+    # batch it faulted about 16,800 of them back in
+    assert snda.HEAP_KEPT
+    model = init_model(desk_model_config(25, 32, "unconditional"), np.random.default_rng(0))
+    cfg = SamplerConfig(T=16, temperature=0.5, update_fraction=0.3)
+    draw_samples(model, cfg, 32, 0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    draw_samples(model, cfg, 32, 0)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500

@@ -26,6 +26,17 @@ def test_config_validation():
     assert cfg.N_d == 4
 
 
+DIMENSIONS = ("v", "N", "layers", "d_model", "heads", "d_ff", "N_source", "d_LP",
+              "length_downsample")
+
+
+@pytest.mark.parametrize("value", [8.0, True, "8", 0], ids=["float", "bool", "str", "zero"])
+@pytest.mark.parametrize("name", DIMENSIONS)
+def test_config_dimensions_must_be_positive_integers(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        ModelConfig(**{"v": 8, "N": 8, name: value})
+
+
 def test_init_is_deterministic_and_head_zero():
     cfg = ModelConfig(v=8, N=8, layers=1, d_model=16, heads=2, d_ff=32)
     a = init_model(cfg, np.random.default_rng(0))
