@@ -15,8 +15,9 @@ from .config import (ConfigError, RunConfig, integer, parse_config_file, set_key
                      temperatures)
 from .data import PAD, Vocab, encode, decode, load_corpus, TokenSeq
 from .evaluation import draw_samples, exact_match, quality_diversity_curve, strip_pad, translate
-from .experiments import (ABLATION_SAMPLER, ablation_report, bench_report,
-                          desk_model_config, heldout_pairs, train_lm, train_synthetic)
+from .experiments import (ABLATION_SAMPLER, LM_TRAIN_STEPS, TASK_TRAIN_STEPS, ablation_report,
+                          bench_report, desk_model_config, desk_train_config, heldout_pairs,
+                          train_lm, train_synthetic)
 from .model import init_model
 from .numerics import NumericError, seed_value
 from .sampling import SamplerConfig, Template, sample_chain
@@ -362,16 +363,33 @@ def _parse_argv(argv: list[str]) -> tuple[Branch, RunConfig]:
         if s not in branch.sections or f"{s}.{k}" in branch.unread]
     if unread:
         raise ConfigError(f"snda {branch.name} does not read --{unread[0]}")
-    # checked here so that the error comes before any checkpoint or corpus is read
+    # checked here so that the error comes before any checkpoint or corpus is read or written
     if "seed" in cfg.top:
         seed_value("seed", integer("seed", cfg.top["seed"]))
     if "sampler" in branch.sections:
-        try:
-            SamplerConfig(**cfg.sampler)
-        except ValueError as e:     # name the flag, where the message starts with its field
-            msg = str(e)
-            raise ConfigError(f"sampler.{msg}" if msg.split()[0] in cfg.sampler else msg) from None
+        _check_section(cfg, "sampler", lambda: SamplerConfig(**cfg.sampler))
+    # the configs the trainer or bench builds, with stand-ins for the v, N and
+    # mode it sets itself: no check compares them with another setting
+    if "model" in branch.sections:
+        _check_section(cfg, "model", lambda: desk_model_config(
+            **{"v": 2, "N": 1, "mode": "unconditional", **cfg.model}))
+    if "train" in branch.sections:
+        total = LM_TRAIN_STEPS if branch.select == "corpus" else TASK_TRAIN_STEPS
+        _check_section(cfg, "train", lambda: desk_train_config(
+            **{"total_steps": total, **cfg.train}))
     return branch, cfg
+
+
+def _check_section(cfg: RunConfig, section: str, build: Callable):
+    """Call build(), which makes the config of the --`section`.* settings;
+    its ValueError becomes a usage error, which names the flag where the
+    message starts with the flag's field."""
+    try:
+        build()
+    except ValueError as e:
+        msg = str(e)
+        raise ConfigError(f"{section}.{msg}" if msg.split()[0] in getattr(cfg, section)
+                          else msg) from None
 
 
 def run(argv: list[str]) -> int:

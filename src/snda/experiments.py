@@ -37,6 +37,12 @@ def desk_train_config(total_steps: int, batch_size: int = 32, seed: int = 0,
     return TrainConfig(**kwargs)
 
 
+# Training steps of a task run and of a language model run, unless set;
+# the CLI checks --train.* against the configs these budgets make.
+TASK_TRAIN_STEPS = 1200
+LM_TRAIN_STEPS = 800
+
+
 # A task run seeded `seed` fixes its cipher permutation with seed + offset;
 # its training batches draw from seeds in [0, 2**31), its held-out pairs
 # from one seed above that range.
@@ -66,7 +72,7 @@ def heldout_pairs(kind: str, seed: int, count: int, len_range, v_task: int,
 
 def train_synthetic(kind: str, unroll_terms: int = 2, length_pred: bool = True,
                     seed: int = 0, v_task: int = 14, len_range=(4, 12),
-                    N: int = 16, total_steps: int = 1200, batch_size: int = 32,
+                    N: int = 16, total_steps: int = TASK_TRAIN_STEPS, batch_size: int = 32,
                     heldout_count: int = 100, log_fn=None,
                     model_overrides: dict | None = None,
                     **train_overrides) -> tuple[DenoiserModel, list]:
@@ -93,7 +99,7 @@ def train_synthetic(kind: str, unroll_terms: int = 2, length_pred: bool = True,
 
 
 def train_lm(lines: list[str], vocab: Vocab, seed: int = 0, N: int = 32,
-             total_steps: int = 800, batch_size: int = 32, log_every: int = 50,
+             total_steps: int = LM_TRAIN_STEPS, batch_size: int = 32, log_every: int = 50,
              log_fn=None, model_overrides: dict | None = None,
              **train_overrides) -> DenoiserModel:
     """Unconditional denoiser on text, one document per line.
@@ -110,7 +116,7 @@ def train_lm(lines: list[str], vocab: Vocab, seed: int = 0, N: int = 32,
                   total_steps, batch_size, log_fn, log_every, **train_overrides)
 
 
-def train_toy_lm(seed: int = 0, total_steps: int = 800, batch_size: int = 32,
+def train_toy_lm(seed: int = 0, total_steps: int = LM_TRAIN_STEPS, batch_size: int = 32,
                  N: int = 32, corpus_docs: int = 2000, log_fn=None,
                  **train_overrides):
     """Character-level toy language model on the template-grammar corpus."""
@@ -158,10 +164,9 @@ def bench_report(model: DenoiserModel, T_values: list[int], batch: int = 32,
     The forward-pass ratio is N / T: a chain's T steps against the
     baseline's one forward per position. The wall clock is measured for
     both on the same network: the chains through `sample_chains`, `batch`
-    of them in lockstep, the baseline tape-free like them. The timed chain
-    decode runs its T steps and then one scoring forward, T + 1 forwards in
-    all, which the ratio leaves out. Paper reference gains are printed
-    alongside, never asserted.
+    of them in lockstep, the baseline tape-free like them. The timed chains
+    are not reranked, so they run T forwards and no scoring one. Paper
+    reference gains are printed alongside, never asserted.
     """
     N = model.config.N
     ids = np.random.default_rng(seed).integers(0, model.config.v, size=(batch, N))

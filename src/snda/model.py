@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import (ParamSet, Tensor, attention, concat, dropout, embedding,
-                       ffn, layer_norm, linear, recording, softmax_array)
+from .numerics import (ParamSet, Tensor, attention, check_number_fields, concat, dropout,
+                       embedding, ffn, layer_norm, linear, recording, softmax_array)
 
 
 @dataclass
@@ -36,12 +36,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in ("unconditional", "encoder_decoder"):
             raise ValueError(f"unknown mode: {self.mode}")
+        check_number_fields(self)
         for name in ("v", "N", "layers", "d_model", "heads", "d_ff", "N_source",
                      "d_LP", "length_downsample"):
             value = getattr(self, name)
-            if name == "N_source" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if value is not None and value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by heads")

@@ -42,12 +42,21 @@ def seed_value(name: str, value: int) -> int:
     return value
 
 
-def check_finite_fields(cfg):
-    """`finite` on every float field of the dataclass `cfg`; the comparisons
-    in a config's own checks let NaN through."""
+def check_number_fields(cfg):
+    """`finite` on every float field of the dataclass `cfg`, whose own
+    comparisons let NaN through, and a ValueError naming any int field that
+    holds a bool or a non-integer (an `int | None` field may hold None),
+    which those comparisons let through to fail later inside range(). A
+    numpy integer in an int field becomes an int, which JSON can write."""
     for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
         if f.type == "float":
-            finite(f.name, getattr(cfg, f.name))
+            finite(f.name, value)
+        elif f.type == "int" or (f.type == "int | None" and value is not None):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if type(value) is not int:
+                setattr(cfg, f.name, int(value))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Conditioning, DenoiserModel, denoise_logits
-from .numerics import (check_finite_fields, log_softmax_array, nll_array, no_grad, row_max,
-                       seed_value, softmax_array)
+from .numerics import (NumericError, check_number_fields, log_softmax_array, nll_array,
+                       no_grad, row_max, seed_value, softmax_array)
 from .training import inverse_cdf
 
 
@@ -35,7 +35,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_number_fields(self)
         if not isinstance(self.early_stop, bool):
             raise ValueError(f"early_stop must be true or false, got {self.early_stop!r}")
         if self.T < 0:
@@ -59,7 +59,7 @@ class SamplerConfig:
 class ChainTrace:
     states: list        # token arrays x_0 .. x_T (shorter on early stop)
     changed: list       # changed-position count per step
-    final_score: float | None = None
+    final_score: float | None = None    # model_score of states[-1]; None unless rerank_width > 1
 
 
 @dataclass
@@ -138,6 +138,7 @@ def argmax_unrolled_step(model: DenoiserModel, lam: np.ndarray, y_prev: np.ndarr
 
     Certainty is the maximum per-position log-probability of the previous
     step's logits lam_prev. The unroll is one forward over all rows.
+    Non-finite logits lam raise NumericError.
     """
     if lam_prev is None:
         raise ValueError("argmax_unrolled_step requires the previous step's logits")
@@ -145,6 +146,8 @@ def argmax_unrolled_step(model: DenoiserModel, lam: np.ndarray, y_prev: np.ndarr
     N = y_prev.shape[-1]
     free = np.flatnonzero(~clamp_mask) if clamp_mask is not None else np.arange(N)
 
+    if not np.all(np.isfinite(lam)):
+        raise NumericError("argmax: non-finite logits")
     predicted = lam.argmax(axis=-1)
     y = y_prev.copy()
     y[..., free] = predicted[..., free]
@@ -235,17 +238,21 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
     the distinct (conditioning row, state) pairs of the chains still
     running, whose logits chains with equal pairs share, and, for low_temp,
     one tempered softmax over the positions they resample; only the rng
-    draws run chain by chain. A low_temp step that resamples a strict subset
-    of the free positions (update_fraction below 1, or the triangular
-    schedule's short steps) draws each chain's positions before its forward,
-    whose last layer then runs at those positions only, and their uniforms
-    after it. Chains that stop early leave the batch. Those stopping on a
-    step that resampled every free position (and on any argmax_unrolled
-    step) are scored together with the logits that step computed, since
-    their final states are its inputs; every other chain is scored in one
-    forward at the end, over the distinct pairs too. `cond` holds one row
-    per chain; no seeds give no traces. A template must have the model's
-    length N, and its clamped ids must lie in [0, v).
+    draws run chain by chain. A low_temp step that resamples fewer than N
+    positions draws each chain's positions before its forward, whose last
+    layer then runs at those positions only, and their uniforms after it.
+    Chains that stop early leave the batch.
+
+    Chains are scored (ChainTrace.final_score) only when cfg.rerank_width
+    is 2 or more, since `rerank` alone reads the scores; scoring changes no
+    chain state. Scored chains that stop on a step that resampled every free
+    position (or on any argmax_unrolled step) are scored with the logits
+    that step computed, since their final states are its inputs, so such a
+    step runs its full forward even where fewer than N positions are free;
+    every other chain is scored in one forward at the end, over the distinct
+    pairs too. `cond` holds one row per chain; no seeds give no traces. A
+    template must have the model's length N, and its clamped ids must lie in
+    [0, v).
     """
     mcfg = model.config
     if mcfg.mode == "encoder_decoder" and cond is None:
@@ -272,6 +279,7 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
         x[:, clamp] = fixed
     traces = [ChainTrace(states=[row.copy()], changed=[]) for row in x]
     active = np.arange(B)
+    scored = cfg.rerank_width > 1   # rerank reads the scores, and only of two or more chains
     lam = None          # argmax_unrolled: every chain's latest step logits
     for t in range(1, cfg.T + 1):
         rows = x[active]
@@ -292,7 +300,9 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
             resampled = sel.shape[1] > 0
             y = rows
             if resampled:
-                if sel.shape[1] < len(free):    # the last layer runs at sel only
+                # the last layer runs at sel only, unless the step's full logits
+                # would score the chains that stop on it
+                if sel.shape[1] < (len(free) if scored else mcfg.N):
                     picked = _distinct_logits(model, rows, active, cond, groups, sel)
                 else:
                     logits = _distinct_logits(model, rows, active, cond, groups)
@@ -306,14 +316,14 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
         # a step that resampled nothing (triangular, T > 2N) says nothing of convergence
         if cfg.early_stop and resampled:
             stopped = n_changed == 0
-            if logits is not None and stopped.any():
+            if scored and logits is not None and stopped.any():
                 for b, score in zip(active[stopped], _chain_scores(logits[stopped], y[stopped])):
                     traces[b].final_score = score
             active = active[~stopped]
             if not len(active):
                 break
     unscored = np.flatnonzero([trace.final_score is None for trace in traces])
-    if len(unscored):
+    if scored and len(unscored):
         logits = _distinct_logits(model, x[unscored], unscored, cond, groups)
         for b, score in zip(unscored, _chain_scores(logits, x[unscored])):
             traces[b].final_score = score
@@ -324,7 +334,7 @@ def sample_chain(model: DenoiserModel, cfg: SamplerConfig,
                  init: Template | None = None,
                  cond: Conditioning | None = None) -> ChainTrace:
     """Unroll the chain seeded cfg.seed for T steps from the uniform prior
-    or a template."""
+    or a template; the chain is scored only at a rerank_width of 2 or more."""
     return sample_chains(model, cfg, [cfg.seed], init, cond)[0]
 
 
@@ -344,8 +354,12 @@ def rerank_seeds(seed: int, width: int) -> list[int]:
 
 def rerank(traces: list[ChainTrace]):
     """A copy of the final state of the chain with the lowest final score (ties
-    break at the lowest index; a copy holds no step array), and every score."""
+    break at the lowest index; a copy holds no step array), and every score.
+    A single chain is the best whether or not it was scored; two or more
+    must have been sampled at a rerank_width of 2 or more."""
     scores = [trace.final_score for trace in traces]
+    if len(traces) > 1 and None in scores:
+        raise ValueError("rerank needs chain scores: sample the chains with rerank_width >= 2")
     return traces[int(np.argmin(scores))].states[-1].copy(), scores
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .corruption import corrupt_batch
 from .data import PairBatch
 from .model import DenoiserModel, build_conditioning, denoise_logits, length_class
-from .numerics import (NumericError, ParamSet, Tensor, check_finite_fields, cross_entropy,
+from .numerics import (NumericError, ParamSet, Tensor, check_number_fields, cross_entropy,
                        seed_value, softmax_array)
 
 # Values per AdamW slice, so that the update's temporaries stay in cache. At
@@ -46,9 +46,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_number_fields(self)
         if self.unroll_terms < 1:
             raise ValueError("unroll_terms must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         seed_value("seed", self.seed)
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
@@ -58,6 +60,8 @@ class TrainConfig:
             self.snapshot_interval = max(1, self.total_steps // 20)
         if self.snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
+        if self.ckpt_average_window < 0:    # 0 keeps the final parameters as they are
+            raise ValueError(f"ckpt_average_window must be >= 0, got {self.ckpt_average_window}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must be in [0, 1)")
 

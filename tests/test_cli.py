@@ -323,9 +323,9 @@ def test_decoding_refuses_text_longer_than_the_model(tiny_ckpts, capsys):
 
 @pytest.mark.parametrize("dtype", ["float16", "banana", "int32"])
 def test_train_rejects_dtype_the_tape_cannot_hold(in_tmp, capsys, dtype):
-    assert run(TRAIN_TASK + ["--model.dtype", dtype]) == 2
+    assert run(TRAIN_TASK + ["--model.dtype", dtype]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("runtime error: ") and "dtype" in err
+    assert err.startswith(f"error: model.dtype must be float32 or float64, got {dtype!r}")
     assert os.listdir(".") == []
 
 
@@ -402,6 +402,46 @@ def test_out_of_range_values_are_usage_errors(tiny_ckpts, capsys, argv, message)
     captured = capsys.readouterr()
     assert captured.out == "" and f"error: {message}" in captured.err
     assert sorted(os.listdir(".")) == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("train --corpus corpus.txt --model.d_model 0 --checkpoint m.ckpt",
+     "model.d_model must be an integer >= 1, got 0"),
+    (f"train --corpus corpus.txt {_TRAIN_TINY} --train.warmup_steps 3",
+     "train.warmup_steps must not exceed total_steps"),
+    (f"train {_COPY_TASK} --train.total_steps 2 --train.batch_size 0",
+     "train.batch_size must be >= 1, got 0"),
+    (f"train {_COPY_TASK} {_TRAIN_TINY} --train.unroll_terms 0",
+     "train.unroll_terms must be >= 1"),
+    (f"train {_COPY_TASK} {_TRAIN_TINY} --train.lr_peak 0", "learning rates must be positive"),
+    (f"train --corpus corpus.txt {_TRAIN_TINY} --train.ckpt_average_window -1",
+     "train.ckpt_average_window must be >= 0, got -1"),
+    (f"ablate {_COPY_TASK} {_TRAIN_TINY} --model.heads 3", "d_model must be divisible by heads"),
+    (f"ablate {_COPY_TASK} {_TRAIN_TINY} --train.beta1 1", "train.beta1 and beta2 must be in"),
+    ("bench --steps 1 --count 2 --model.N 8 --model.layers 0",
+     "model.layers must be an integer >= 1, got 0"),
+], ids=["train-corpus-model", "train-corpus-warmup", "train-task-batch", "train-task-unroll",
+        "train-task-lr", "train-corpus-window", "ablate-model", "ablate-train", "bench-model"])
+def test_model_and_train_values_are_usage_errors(tiny_ckpts, capsys, argv, message):
+    # nothing is written or trained: the values are checked first
+    before = sorted(os.listdir("."))
+    assert run(argv.split() + ["--out", "report.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+    assert sorted(os.listdir(".")) == before
+
+
+def test_model_and_train_checks_refuse_nothing_the_trainer_takes():
+    # warmup_steps defaults to min(100, total_steps), and total_steps to the
+    # trainer's own: 1200 for a task, 800 for a corpus
+    for argv in ("train --task copy --train.total_steps 2",
+                 "train --task copy --train.warmup_steps 1000",
+                 "train --corpus c.txt --train.warmup_steps 800",
+                 "ablate --train.warmup_steps 1000 --model.heads 8",
+                 "bench --model.d_model 8 --model.heads 8 --model.N 3"):
+        cli._parse_argv(argv.split())
+    with pytest.raises(cli.ConfigError, match="train.warmup_steps must not exceed"):
+        cli._parse_argv("train --corpus c.txt --train.warmup_steps 801".split())
 
 
 @pytest.mark.parametrize("argv, vocab, size", [

@@ -37,6 +37,13 @@ def test_config_dimensions_must_be_positive_integers(name, value):
         ModelConfig(**{"v": 8, "N": 8, name: value})
 
 
+def test_config_dimensions_take_numpy_integers_as_ints():
+    # as SamplerConfig and TrainConfig do, so that a checkpoint can write them
+    cfg = ModelConfig(v=np.int64(8), N=np.int32(8), N_source=np.int64(6))
+    assert (cfg.v, cfg.N, cfg.N_source) == (8, 8, 6)
+    assert all(type(x) is int for x in (cfg.v, cfg.N, cfg.N_source))
+
+
 def test_init_is_deterministic_and_head_zero():
     cfg = ModelConfig(v=8, N=8, layers=1, d_model=16, heads=2, d_ff=32)
     a = init_model(cfg, np.random.default_rng(0))

@@ -39,6 +39,15 @@ def test_sampler_config_validation():
                 SamplerConfig(schedule="triangular", **{field: value})
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=["fraction", "float", "bool", "str"])
+@pytest.mark.parametrize("field", ["T", "rerank_width", "seed"])
+def test_sampler_config_integer_fields_must_be_integers(field, value):
+    # T=2.5 and rerank_width=2.5 passed their range checks and failed in range()
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}"):
+        SamplerConfig(**{field: value})
+    assert getattr(SamplerConfig(**{field: np.int64(2)}), field) == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 32), st.integers(0, 32), st.integers(1, 64))
 def test_triangular_count_bounds(T, t, N):
@@ -127,7 +136,7 @@ def test_argmax_unrolled_reference_simulation(micro_model):
 
 
 def test_sample_chain_trace_shape(tiny_model):
-    cfg = SamplerConfig(T=5, temperature=0.5, early_stop=False, seed=0)
+    cfg = SamplerConfig(T=5, temperature=0.5, early_stop=False, rerank_width=2, seed=0)
     trace = sample_chain(tiny_model, cfg)
     assert len(trace.states) == 6
     assert len(trace.changed) == 5
@@ -250,7 +259,7 @@ def test_sample_reranked_scores_each_chain_once(tiny_model, monkeypatch):
 def test_low_temp_step_work_is_batched_across_chains(tiny_model, monkeypatch):
     import snda.sampling as sampling
     import snda.training as training
-    cfg = SamplerConfig(T=8, temperature=0.03, update_fraction=0.5, seed=0)
+    cfg = SamplerConfig(T=8, temperature=0.03, update_fraction=0.5, rerank_width=2, seed=0)
     seeds = rerank_seeds(cfg.seed, 6)
     traces = [sample_chain(tiny_model, replace(cfg, seed=s)) for s in seeds]
     forwards, softmaxes, scored = [], [], []
@@ -301,7 +310,7 @@ def test_full_update_chains_run_one_forward_per_step(tiny_model, tiny_encdec, mo
                         lambda *a, positions=None, **k: calls.append(positions) or
                         forward(*a, positions=positions, **k))
     # the translate and inpaint default: each step resamples every free position
-    cfg = SamplerConfig(T=4, temperature=0.3)
+    cfg = SamplerConfig(T=4, temperature=0.3, rerank_width=2)
     traces = sample_chains(model, cfg, rerank_seeds(0, 8), init, cond)
     steps = max(len(t.changed) for t in traces)
     ran_all = any(t.changed[-1] != 0 for t in traces)
@@ -328,7 +337,7 @@ def test_chains_that_share_a_row_get_their_own_positions(tiny_model, monkeypatch
 
 
 def test_partial_update_chains_are_scored_over_their_final_state(tiny_model):
-    cfg = SamplerConfig(T=8, temperature=0.03, update_fraction=0.5)
+    cfg = SamplerConfig(T=8, temperature=0.03, update_fraction=0.5, rerank_width=2)
     traces = sample_chains(tiny_model, cfg, range(8))
     assert any(len(t.changed) < cfg.T for t in traces)
     for t in traces:
@@ -336,13 +345,92 @@ def test_partial_update_chains_are_scored_over_their_final_state(tiny_model):
         assert t.final_score == _chain_scores(denoise_logits(tiny_model, y).data, y)[0]
 
 
+@pytest.mark.parametrize("strategy, update_fraction, clamped, step_positions", [
+    ("low_temp", 1.0, 0, [None] * 4),
+    ("low_temp", 0.5, 0, [4] * 4),
+    ("low_temp", 1.0, 3, [5] * 4),
+    ("argmax_unrolled", 1.0, 0, [None] * 7),    # 4 steps and 3 unroll forwards
+], ids=["full", "partial", "template", "argmax"])
+def test_chains_are_scored_only_where_they_are_reranked(tiny_model, monkeypatch, strategy,
+                                                        update_fraction, clamped,
+                                                        step_positions):
+    import snda.sampling as sampling
+    cfg = SamplerConfig(T=4, temperature=0.3, strategy=strategy,
+                        update_fraction=update_fraction, early_stop=False)
+    init = Template(np.arange(8), np.arange(8) < clamped) if clamped else None
+    calls, scored, forward, chain_scores = [], [], sampling.denoise_logits, sampling._chain_scores
+    monkeypatch.setattr(sampling, "denoise_logits",
+                        lambda *a, positions=None, **k:
+                        calls.append(None if positions is None else np.shape(positions)[1]) or
+                        forward(*a, positions=positions, **k))
+    monkeypatch.setattr(sampling, "_chain_scores",
+                        lambda z, y: scored.append(len(y)) or chain_scores(z, y))
+    # one chain alone, or the only chain of its source: its step forwards only
+    traces = sample_chains(tiny_model, cfg, range(8), init)
+    assert calls == step_positions and scored == []
+    assert all(t.final_score is None for t in traces)
+    # reranked chains run each template step in full, to score the chains that
+    # stop on it, and score every chain that ran all T steps in one forward
+    calls.clear()
+    traces = sample_chains(tiny_model, replace(cfg, rerank_width=2), range(8), init)
+    assert calls == [None if clamped else p for p in step_positions] + [None]
+    assert scored == [8] and all(t.final_score is not None for t in traces)
+
+
+@pytest.mark.parametrize("strategy", ["low_temp", "argmax_unrolled"])
+@pytest.mark.parametrize("schedule", ["constant", "half", "triangular"])
+@pytest.mark.parametrize("setup", ["uniform", "template", "translate"])
+def test_rerank_width_changes_no_chain_state(tiny_model, tiny_encdec, strategy, schedule,
+                                             setup):
+    cfg = SamplerConfig(T=8, temperature=0.03, strategy=strategy,
+                        schedule="triangular" if schedule == "triangular" else "constant",
+                        update_fraction=0.5 if schedule == "half" else 1.0)
+    seeds = [3, 3, 8, 14, 1014, 2014]
+    model, init, cond = tiny_model, None, None
+    if setup == "template":
+        init = Template(np.arange(8), np.array([1, 0, 0, 1, 0, 1, 0, 0], dtype=bool))
+    if setup == "translate":
+        model = tiny_encdec
+        cond, _ = build_conditioning(model, np.array([[2, 3, 4, 5, 0, 0, 0, 0],
+                                                      [5, 6, 7, 0, 0, 0, 0, 0]]), [4, 3])
+        cond = cond.take([0, 0, 0, 1, 1, 1])
+    alone = sample_chains(model, cfg, seeds, init, cond)
+    assert all(trace.final_score is None for trace in alone)
+    for width in (2, 4):
+        reranked = sample_chains(model, replace(cfg, rerank_width=width), seeds, init, cond)
+        for a, b in zip(alone, reranked):
+            assert len(a.states) == len(b.states)
+            assert all(np.array_equal(x, y) for x, y in zip(a.states, b.states))
+            assert a.changed == b.changed and b.final_score is not None
+
+
+def test_unscored_template_steps_run_the_last_layer_at_the_free_positions(tiny_model,
+                                                                         monkeypatch):
+    import snda.sampling as sampling
+    clamp = np.array([1, 0, 0, 1, 0, 1, 0, 0], dtype=bool)
+    calls, forward = [], sampling.denoise_logits
+    monkeypatch.setattr(sampling, "denoise_logits",
+                        lambda *a, positions=None, **k: calls.append(positions) or
+                        forward(*a, positions=positions, **k))
+    free = np.flatnonzero(~clamp)
+    for seeds in ([5], [0, 1, 2]):
+        calls.clear()
+        sample_chains(tiny_model, SamplerConfig(T=3, early_stop=False), seeds,
+                      Template(np.arange(8), clamp))
+        # every step resamples the 5 free positions, in the order each chain drew them
+        assert len(calls) == 3
+        for at in calls:
+            assert np.array_equal(np.sort(at, axis=1), np.tile(free, (len(at), 1)))
+
+
 @pytest.mark.parametrize("strategy", ["low_temp", "argmax_unrolled"])
 @pytest.mark.parametrize("T", [0, 2])
 def test_sample_chains_rejects_non_finite_logits(tiny_model, strategy, T):
-    # T=2 reaches the step, T=0 only the scoring pass
+    # T=2 reaches the step, T=0 only the scoring pass, which reranked chains run
     tiny_model.params["head.b"].data[3] = np.nan
+    cfg = SamplerConfig(T=T, strategy=strategy, rerank_width=2 if T == 0 else 1)
     with pytest.raises(NumericError):
-        sample_chains(tiny_model, SamplerConfig(T=T, strategy=strategy), [0, 1, 2])
+        sample_chains(tiny_model, cfg, [0, 1, 2])
 
 
 @pytest.mark.parametrize("strategy", ["low_temp", "argmax_unrolled"])
@@ -359,6 +447,16 @@ def test_sample_reranked_picks_min_score(tiny_model):
     cfg = SamplerConfig(T=3, temperature=0.5, rerank_width=3, seed=0)
     best, scores = _sample_reranked(tiny_model, cfg)
     assert min(scores) == model_score(tiny_model, best)
+
+
+def test_rerank_refuses_unscored_chains(tiny_model):
+    traces = sample_chains(tiny_model, SamplerConfig(T=3, temperature=0.5), rerank_seeds(0, 3))
+    with pytest.raises(ValueError, match="rerank_width >= 2"):
+        rerank(traces)
+    # a single chain is the best of its one, scored or not
+    best, scores = rerank(traces[1:2])
+    assert np.array_equal(best, traces[1].states[-1]) and scores == [None]
+    assert not np.shares_memory(best, traces[1].states[-1])
 
 
 def test_transition_matrix_is_stochastic(micro_model):
@@ -435,7 +533,7 @@ def test_early_stop_ends_a_chain_only_after_a_step_that_changed_nothing(tiny_mod
 def test_chain_states_and_the_reranked_best_share_no_memory(tiny_model, strategy, early_stop,
                                                             clamped):
     cfg = SamplerConfig(T=8, temperature=0.03, strategy=strategy, update_fraction=0.5,
-                        early_stop=early_stop)
+                        early_stop=early_stop, rerank_width=2)
     init = Template(np.arange(8), np.arange(8) < clamped) if clamped else None
     traces = sample_chains(tiny_model, cfg, range(8), init)
     if early_stop and clamped < 8:
@@ -465,26 +563,31 @@ def test_encoder_decoder_chain_requires_cond(tiny_encdec):
        schedule=st.sampled_from(["constant", "half", "triangular"]),
        temperature=st.sampled_from([0.01, 0.5]), T=st.integers(0, 8),
        early_stop=st.booleans(), template_seed=st.none() | st.integers(0, 99),
-       conditioning=st.sampled_from([None, "shared", "per_chain"]))
+       conditioning=st.sampled_from([None, "shared", "per_chain"]),
+       rerank_width=st.sampled_from([1, 2]))
 # chain 1 stops at step 3 while the others run on and rank positions by
 # their own carried logits
 @example(seeds=[14, 1014, 2014, 3014], strategy="argmax_unrolled", schedule="constant",
-         temperature=0.5, T=8, early_stop=True, template_seed=None, conditioning=None)
+         temperature=0.5, T=8, early_stop=True, template_seed=None, conditioning=None,
+         rerank_width=2)
 # repeated seeds start from the same state: under one source the chains
 # share every row, under different sources none
 @example(seeds=[3, 3, 8, 3], strategy="low_temp", schedule="constant", temperature=0.5,
-         T=8, early_stop=True, template_seed=None, conditioning="shared")
+         T=8, early_stop=True, template_seed=None, conditioning="shared",
+         rerank_width=2)
 @example(seeds=[3, 3, 8, 3], strategy="low_temp", schedule="constant", temperature=0.5,
-         T=8, early_stop=True, template_seed=None, conditioning="per_chain")
+         T=8, early_stop=True, template_seed=None, conditioning="per_chain",
+         rerank_width=2)
 @example(seeds=[3, 3, 8, 3], strategy="argmax_unrolled", schedule="constant",
-         temperature=0.5, T=8, early_stop=True, template_seed=None, conditioning="per_chain")
+         temperature=0.5, T=8, early_stop=True, template_seed=None, conditioning="per_chain",
+         rerank_width=2)
 def test_sample_chains_equal_one_chain_per_seed(tiny_model, tiny_encdec, seeds, strategy,
                                                 schedule, temperature, T, early_stop,
-                                                template_seed, conditioning):
+                                                template_seed, conditioning, rerank_width):
     cfg = SamplerConfig(T=T, temperature=temperature, strategy=strategy,
                         schedule="triangular" if schedule == "triangular" else "constant",
                         update_fraction=0.5 if schedule == "half" else 1.0,
-                        early_stop=early_stop)
+                        early_stop=early_stop, rerank_width=rerank_width)
     init = None
     if template_seed is not None:
         rng = np.random.default_rng(template_seed)
@@ -529,4 +632,6 @@ def test_sample_chains_equal_one_chain_per_seed(tiny_model, tiny_encdec, seeds, 
         assert len(trace.states) == len(alone.states)
         assert all(np.array_equal(a, b) for a, b in zip(trace.states, alone.states))
         assert trace.changed == alone.changed
+        # chains are scored at a width of 2 or more only, batched as alone
+        assert (trace.final_score is None) == (rerank_width == 1)
         assert trace.final_score == alone.final_score

@@ -31,7 +31,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("snapshot_interval", 0), ("snapshot_interval", -1),
+    ("snapshot_interval", 0), ("snapshot_interval", -1), ("ckpt_average_window", -1),
     ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", -0.1), ("seed", -1),
 ] + [(field, value) for field in ("lr_start", "lr_peak", "lr_min", "label_smoothing",
                                   "weight_decay", "beta1", "beta2", "adam_eps")
@@ -39,6 +39,24 @@ def test_config_validation():
 def test_config_rejects_values_the_loop_cannot_run(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(total_steps=3, warmup_steps=1, **{field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "str"])
+@pytest.mark.parametrize("field", ["unroll_terms", "batch_size", "total_steps", "warmup_steps",
+                                   "ckpt_average_window", "snapshot_interval", "seed"])
+def test_config_integer_fields_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}"):
+        TrainConfig(**{"total_steps": 3, "warmup_steps": 1, field: value})
+    assert getattr(TrainConfig(**{"total_steps": 3, "warmup_steps": 1, field: np.int64(1)}),
+                   field) == 1
+
+
+def test_config_needs_a_batch():
+    # a batch of none stacked no arrays three calls into the first step
+    for size in (0, -1):
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {size}"):
+            TrainConfig(batch_size=size)
+    assert TrainConfig(batch_size=1, snapshot_interval=None).snapshot_interval == 50
 
 
 def test_lr_schedule_endpoints():
