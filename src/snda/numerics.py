@@ -68,6 +68,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _released(g):
+    """The backward of a node whose tape `Tensor.backward` has released."""
+    raise RuntimeError("backward() already ran through this graph and released its tape")
+
+
 class Tensor:
     """A float32 or float64 array plus an optional gradient and backward closure."""
 
@@ -106,6 +111,13 @@ class Tensor:
             self.grad += g
 
     def backward(self):
+        """Accumulate d(self)/d(node) into every node of this scalar's graph,
+        in reverse topological order, and release the tape as it runs: once
+        a node's backward has run (all its consumers ran before it), its
+        gradient, backward closure and parents are cleared, so what they held
+        is freed. Leaves (parameters, and inputs made with requires_grad=True)
+        keep their gradients. The tape runs once: calling backward() again on
+        a released graph raises RuntimeError."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         topo: list[Tensor] = []
@@ -124,9 +136,13 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _released, ()
 
     # ---- operators -------------------------------------------------
 
@@ -221,12 +237,39 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     out = _make(weight.data[ids], (weight,))
     if out.requires_grad:
-        def bwd(g):
-            gw = np.zeros_like(weight.data)
-            np.add.at(gw, ids, g)
-            weight._accumulate(gw)
-        out._backward = bwd
+        out._backward = lambda g: weight._accumulate(_scatter_rows(ids, g, weight.data))
     return out
+
+
+def _scatter_rows(ids: np.ndarray, g: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """np.add.at(np.zeros_like(table), ids, g) bit for bit, without its
+    per-index loop: each id's rows of g, in their order, are summed from
+    +0.0. Ids that occur at most twice the mean count are summed by one
+    reduction over the slot axis of a zero-padded [count + 1, ids, d]
+    buffer, which numpy adds slot by slot; the few ids that occur more
+    often (the pad id, say) are summed one at a time. The buffer holds at
+    most twice the rows of g plus one row an id, whatever the table size."""
+    gw = np.zeros_like(table)
+    if table.ndim != 2 or table.shape[1] == 1:  # [n, 1] reductions are summed pairwise
+        np.add.at(gw, ids, g)
+        return gw
+    ids = ids.reshape(-1)
+    g = g.reshape(-1, table.shape[1])
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    counts = np.bincount(ids, minlength=len(table))
+    start = np.cumsum(counts) - counts
+    depth = 2 * ids.size // max(np.count_nonzero(counts), 1)
+    light = (counts > 0) & (counts <= depth)
+    keep = light[ids]
+    slot = np.arange(1, ids.size + 1) - start[ids]
+    buf = np.zeros((counts[light].max(initial=0) + 1, np.count_nonzero(light), table.shape[1]),
+                   table.dtype)
+    buf[slot[keep], (np.cumsum(light) - 1)[ids[keep]]] = g[order[keep]]
+    gw[light] = np.add.reduce(buf, axis=0)
+    for i in np.flatnonzero(counts > depth):
+        gw[i] = np.add.reduce(g[order[start[i]:start[i] + counts[i]]], axis=0, initial=0)
+    return gw
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:

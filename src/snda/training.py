@@ -9,7 +9,6 @@ each additional term only contributes through its own forward pass.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,10 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         seed_value("seed", self.seed)
+        if self.total_steps < 1:
+            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
         if min(self.lr_start, self.lr_peak, self.lr_min) <= 0:
@@ -68,21 +71,27 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
+    """A training run's model, AdamW moments, step count and rng, and the
+    checkpoint average: a float64 running sum of the params.flat snapshots
+    the final window keeps (the last `ckpt_average_window` multiples of
+    `snapshot_interval` up to `total_steps`), added oldest first, and their
+    count. In float64, identical snapshots average to themselves bit for
+    bit. The window is fixed by total_steps, so no step runs past it."""
     model: DenoiserModel
     cfg: TrainConfig
     m: np.ndarray               # AdamW moments, in params.flat order
     v: np.ndarray
     step: int
-    snapshots: deque            # copies of params.flat
     rng: np.random.Generator
+    snapshot_sum: np.ndarray | None = None
+    snapshot_count: int = 0
 
 
 def make_train_state(model: DenoiserModel, cfg: TrainConfig) -> TrainState:
     return TrainState(
         model=model, cfg=cfg,
         m=np.zeros_like(model.params.flat), v=np.zeros_like(model.params.flat),
-        step=0, snapshots=deque(maxlen=cfg.ckpt_average_window),
-        rng=np.random.default_rng(cfg.seed),
+        step=0, rng=np.random.default_rng(cfg.seed),
     )
 
 
@@ -160,6 +169,8 @@ def train_step(state: TrainState, batch) -> tuple[float, list[float]]:
 
     Returns the step's loss and its per-term reconstruction losses."""
     cfg = state.cfg
+    if state.step >= cfg.total_steps:
+        raise RuntimeError(f"the run has taken all its total_steps ({cfg.total_steps})")
     params = state.model.params
     params.zero_grad()
     loss, terms = loss_unrolled(state.model, batch, cfg.unroll_terms, state.rng,
@@ -168,7 +179,6 @@ def train_step(state: TrainState, batch) -> tuple[float, list[float]]:
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss at step {state.step}")
     loss.backward()
-    del loss    # frees the tape before the update
 
     state.step += 1
     lr = lr_schedule(state.step, cfg)
@@ -185,8 +195,12 @@ def train_step(state: TrainState, batch) -> tuple[float, list[float]]:
         vhat = v / (1 - cfg.beta2 ** t)
         p -= (lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + cfg.weight_decay * p)).astype(p.dtype)
 
-    if state.step % cfg.snapshot_interval == 0:
-        state.snapshots.append(flat.copy())
+    k = cfg.snapshot_interval     # is this a snapshot the final window keeps?
+    if t % k == 0 and t > cfg.total_steps // k * k - cfg.ckpt_average_window * k:
+        if state.snapshot_sum is None:
+            state.snapshot_sum = np.zeros(flat.shape, np.float64)
+        state.snapshot_sum += flat
+        state.snapshot_count += 1
     return value, terms
 
 
@@ -213,21 +227,13 @@ def train_loop(state: TrainState, batch_fn, log_every: int = 50,
     return lines
 
 
-def average_checkpoints(snapshots: list[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of flat parameter snapshots. The sum runs in float64,
-    one snapshot at a time, so averaging identical snapshots is bit-exact."""
-    if not snapshots:
-        raise ValueError("need at least one snapshot")
-    total = np.zeros(snapshots[0].shape, dtype=np.float64)
-    for snap in snapshots:
-        if snap.shape != total.shape:
-            raise ValueError("snapshot shape mismatch")
-        total += snap
-    return (total / len(snapshots)).astype(snapshots[0].dtype)
-
-
 def averaged_model(state: TrainState) -> DenoiserModel:
-    """Evaluation model: mean of the recent snapshots (or current params)."""
+    """Evaluation model: the mean of the snapshots summed so far, cast back
+    to the parameters' dtype (a copy of the current parameters before the
+    final window's first snapshot, or with a window of 0). It is the final
+    window's average only once the run has taken all its total_steps;
+    mid-run it is not the mean of the latest snapshots."""
     params = state.model.params
-    flat = average_checkpoints(list(state.snapshots)) if state.snapshots else params.flat.copy()
+    flat = ((state.snapshot_sum / state.snapshot_count).astype(params.flat.dtype)
+            if state.snapshot_count else params.flat.copy())
     return DenoiserModel(state.model.config, ParamSet(params.layout, flat))

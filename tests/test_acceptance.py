@@ -24,7 +24,8 @@ from snda.numerics import grad_check, log_softmax_array
 from snda.sampling import (SamplerConfig, Template, argmax_unrolled_step,
                            exact_chain_prob, sample_chain,
                            sample_step_low_temp)
-from snda.training import average_checkpoints, loss_unrolled
+from snda.training import (TrainConfig, averaged_model, loss_unrolled, make_train_state,
+                           train_step)
 from tests.conftest import perturb
 
 EVAL_CFG = SamplerConfig(T=10, temperature=0.3, strategy="low_temp",
@@ -211,6 +212,15 @@ def test_criterion_10_persistence_and_determinism(tmp_path):
     finally:
         os.chdir(cwd)
 
-    # (c) averaging k identical snapshots is the identity
+    # (c) averaging k identical snapshots is the identity: a learning rate of
+    # 1e-300 moves no float32 value, so each step's snapshot is the same
     values = model.params.flat.copy()
-    assert np.array_equal(average_checkpoints([values] * 3), values)
+    tiny = dict(lr_start=1e-300, lr_peak=1e-300, lr_min=1e-300)
+    state = make_train_state(model, TrainConfig(total_steps=3, warmup_steps=1, batch_size=4,
+                                                snapshot_interval=1, ckpt_average_window=3,
+                                                **tiny))
+    batch = np.random.default_rng(0).integers(0, 8, size=(4, 8))
+    for _ in range(3):
+        train_step(state, batch)
+    assert state.snapshot_count == 3
+    assert np.array_equal(averaged_model(state).params.flat, values)

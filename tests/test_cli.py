@@ -411,6 +411,10 @@ def test_out_of_range_values_are_usage_errors(tiny_ckpts, capsys, argv, message)
      "train.warmup_steps must not exceed total_steps"),
     (f"train {_COPY_TASK} --train.total_steps 2 --train.batch_size 0",
      "train.batch_size must be >= 1, got 0"),
+    (f"train {_COPY_TASK} --model.N 8 --train.batch_size 4 --train.total_steps -3",
+     "train.total_steps must be >= 1, got -3"),
+    (f"train {_COPY_TASK} {_TRAIN_TINY} --train.warmup_steps -1",
+     "train.warmup_steps must be >= 0, got -1"),
     (f"train {_COPY_TASK} {_TRAIN_TINY} --train.unroll_terms 0",
      "train.unroll_terms must be >= 1"),
     (f"train {_COPY_TASK} {_TRAIN_TINY} --train.lr_peak 0", "learning rates must be positive"),
@@ -420,8 +424,8 @@ def test_out_of_range_values_are_usage_errors(tiny_ckpts, capsys, argv, message)
     (f"ablate {_COPY_TASK} {_TRAIN_TINY} --train.beta1 1", "train.beta1 and beta2 must be in"),
     ("bench --steps 1 --count 2 --model.N 8 --model.layers 0",
      "model.layers must be an integer >= 1, got 0"),
-], ids=["train-corpus-model", "train-corpus-warmup", "train-task-batch", "train-task-unroll",
-        "train-task-lr", "train-corpus-window", "ablate-model", "ablate-train", "bench-model"])
+], ids=["train-corpus-model", "train-corpus-warmup", "train-task-batch", "train-task-steps",
+        "train-task-negative-warmup", "train-task-unroll", "train-task-lr", "train-corpus-window", "ablate-model", "ablate-train", "bench-model"])
 def test_model_and_train_values_are_usage_errors(tiny_ckpts, capsys, argv, message):
     # nothing is written or trained: the values are checked first
     before = sorted(os.listdir("."))

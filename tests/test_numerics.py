@@ -1,6 +1,7 @@
 """Autodiff core: op gradients against finite differences and numpy oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,76 @@ def test_embedding_grads_and_scatter():
     # repeated ids accumulate into the same row
     assert np.allclose(w.grad[1], 2 * (w.data[1] + w.data[1]))
     assert np.allclose(w.grad[0], 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_scatter_equals_a_sequential_loop(dtype):
+    # each id's rows are summed in order from +0.0, as np.add.at adds them:
+    # repeated ids, ids that never occur, and -0.0 rows (0.0 + -0.0 is +0.0);
+    # a dominant id (a pad id, say) is summed apart from the rest
+    rng = np.random.default_rng(0)
+    dominant = rng.integers(0, 40, size=(16, 24))
+    dominant[:, 5:] = 0
+    cases = [(np.array([[3, 1, 3], [3, 0, 1]]), 5, 4), (np.array([2, 2, 2, 2]), 3, 2),
+             (np.zeros(20, np.int64), 1, 1), (np.array([], np.int64), 4, 3),
+             (dominant, 40, 5), (dominant, 40, 1)]
+    cases += [(rng.integers(0, v, size=(8, 16)), v, 6) for v in (2, 9, 30)]
+    for ids, v, d in cases:
+        g = (rng.standard_normal(ids.shape + (d,)) * 10.0 ** rng.integers(-4, 5, ids.shape + (d,)))
+        g[rng.random(g.shape) < 0.2] = -0.0
+        zero = np.flatnonzero(ids == 0)     # id 0's rows: a pairwise sum would
+        g.reshape(-1, d)[zero] = 1.0        # keep the ones that a loop drops
+        g.reshape(-1, d)[zero[:1]] = 1e17 if dtype == np.float64 else 1e8
+        g = g.astype(dtype)
+        w = Tensor(rng.standard_normal((v, d)).astype(dtype), requires_grad=True)
+        (embedding(w, ids) * Tensor(g)).sum().backward()
+        want = np.zeros((v, d), dtype)
+        for i, row in zip(ids.reshape(-1), g.reshape(-1, d)):
+            want[i] = want[i] + row
+        assert w.grad.dtype == dtype and w.grad.tobytes() == want.tobytes(), (v, d)
+
+
+def test_embedding_scatter_memory_follows_the_rows_not_the_table():
+    # a large table and a dominant pad id: scratch stays a small multiple of
+    # the gradient table plus the rows scattered, not the table times the
+    # pad id's count
+    v, d = 3000, 64
+    rng = np.random.default_rng(0)
+    ids = np.zeros((32, 64), np.int64)
+    ids[:, :8] = rng.integers(1, v, (32, 8))
+    w = Tensor(np.zeros((v, d), np.float32), requires_grad=True)
+    out = embedding(w, ids)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * max(ids.size, v) * d * 4, peak / 1e6
+    want = np.zeros_like(w.data)
+    np.add.at(want, ids, g)
+    assert w.grad.tobytes() == want.tobytes()
+
+
+def test_backward_runs_once_and_releases_the_tape():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)    # an input leaf
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    h = linear(x, w, b)
+    loss = (h * h).sum()
+    loss.backward()
+    grads = [x.grad.copy(), w.grad.copy(), b.grad.copy()]
+    assert np.allclose(w.grad, x.data.T @ (2 * h.data))
+    # what ran is released; the leaves keep their gradients
+    for node in (loss, h):
+        assert node.grad is None and node._parents == ()
+    with pytest.raises(RuntimeError, match="released its tape"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="released its tape"):
+        (h * h).sum().backward()    # a new loss on a released node
+    assert all(np.array_equal(g, t.grad) for g, t in zip(grads, (x, w, b)))
 
 
 def test_cross_entropy_matches_manual():

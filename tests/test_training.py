@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +14,12 @@ from snda.data import PairBatch, pairs_to_batch, synth_task_gen
 from snda.model import (DenoiserModel, ModelConfig, build_conditioning, init_model,
                         length_class)
 from snda.checkpoint import load_checkpoint, save_checkpoint
-from snda.experiments import train_synthetic
+from snda.experiments import desk_model_config, train_synthetic
 from snda.numerics import NumericError, cross_entropy, grad_check
 from snda.sampling import SamplerConfig, sample_chain
-from snda.training import (TrainConfig, average_checkpoints, averaged_model,
-                           loss_unrolled, lr_schedule, make_train_state,
-                           metrics_line, sample_tokens, train_loop, train_step)
+from snda.training import (TrainConfig, averaged_model, loss_unrolled, lr_schedule,
+                           make_train_state, metrics_line, sample_tokens, train_loop,
+                           train_step)
 from tests.conftest import perturb
 
 
@@ -39,6 +41,16 @@ def test_config_validation():
 def test_config_rejects_values_the_loop_cannot_run(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(total_steps=3, warmup_steps=1, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("total_steps", 0), ("total_steps", -3),
+                                          ("warmup_steps", -1)])
+def test_config_refuses_step_counts_below_their_floor(field, value):
+    # a run of no steps wrote the initial model as its checkpoint, and the
+    # averaging window is fixed by total_steps
+    floor = 1 if field == "total_steps" else 0
+    with pytest.raises(ValueError, match=f"^{field} must be >= {floor}, got {value}$"):
+        TrainConfig(**{"total_steps": 3, "warmup_steps": 0, field: value})
 
 
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "str"])
@@ -178,6 +190,31 @@ def test_conditional_gradients_match_finite_differences(tiny_encdec):
         assert err <= 1e-6, f"max relative error {err:.3e}"
 
 
+def test_backward_holds_only_the_parameter_gradients():
+    # a desk reverse_cipher step: each node is freed once its backward has
+    # run, so the traced peak stays within the tape plus the gradients, and
+    # with the loss still referenced only the gradients are held after it
+    model = init_model(desk_model_config(16, 16, "encoder_decoder"), np.random.default_rng(0))
+    batch = pairs_to_batch(synth_task_gen(10_000, 1, 32, "reverse_cipher", (4, 12), 14, 16))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss, _ = loss_unrolled(model, batch, 2, np.random.default_rng(0), train_mode=True,
+                                label_smoothing=0.1)
+        tape = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    grads = sum(t.grad.nbytes for _, t in model.params.items() if t.grad is not None)
+    slack = 2**20
+    assert tape > 10 * 2**20 and grads > 2**20
+    assert held <= grads + slack, (held, grads)
+    assert peak <= tape + grads + slack, (peak, tape, grads)
+    assert loss.item() > 0
+
+
 def test_loss_unrolled_rejects_pairbatch_on_unconditional(tiny_model):
     pairs = synth_task_gen(0, 1, 2, "copy", (2, 6), v_task=6, N=8)
     with pytest.raises(ValueError):
@@ -185,18 +222,40 @@ def test_loss_unrolled_rejects_pairbatch_on_unconditional(tiny_model):
                       np.random.default_rng(0))
 
 
-def _tiny_state(seed=0, total_steps=8):
+def _tiny_state(seed=0, total_steps=8, **overrides):
     cfg = ModelConfig(v=8, N=8, layers=1, d_model=16, heads=2, d_ff=32,
                       dropout=0.0)
     model = init_model(cfg, np.random.default_rng(seed))
-    tcfg = TrainConfig(total_steps=total_steps, warmup_steps=2, batch_size=4,
-                       lr_peak=1e-3, seed=seed, snapshot_interval=2,
-                       ckpt_average_window=3)
+    tcfg = TrainConfig(**{"total_steps": total_steps, "warmup_steps": 2, "batch_size": 4,
+                          "lr_peak": 1e-3, "seed": seed, "snapshot_interval": 2,
+                          "ckpt_average_window": 3, **overrides})
     return make_train_state(model, tcfg)
 
 
 def _batch_fn(step, rng):
     return rng.integers(0, 8, size=(4, 8))
+
+
+def _train_recording(state):
+    """Run every step of state's config; params.flat after each step."""
+    flats = []
+    batch_rng = np.random.default_rng(state.cfg.seed + 1)
+    for step in range(state.cfg.total_steps):
+        train_step(state, _batch_fn(step, batch_rng))
+        flats.append(state.model.params.flat.copy())
+    return flats
+
+
+def _window_mean(flats, interval, window):
+    """What a deque(maxlen=window) of the snapshots at each multiple of
+    interval averages to: a float64 sum, oldest first, from zero."""
+    kept = deque((f for step, f in enumerate(flats, 1) if step % interval == 0), maxlen=window)
+    if not kept:
+        return None, 0
+    total = np.zeros(flats[0].shape, np.float64)
+    for snap in kept:
+        total += snap
+    return (total / len(kept)).astype(flats[0].dtype), len(kept)
 
 
 def test_train_loop_is_deterministic():
@@ -229,34 +288,63 @@ def test_metrics_line_format():
 
 def test_snapshots_follow_interval():
     state = _tiny_state(total_steps=8)
-    train_loop(state, _batch_fn)
-    # interval 2, window 3 => snapshots at steps 4, 6, 8 retained
-    assert len(state.snapshots) == 3
+    flats = _train_recording(state)
+    # interval 2, window 3 => the snapshots at steps 4, 6, 8 are summed
+    assert state.snapshot_count == 3
+    want = np.zeros(flats[0].shape, np.float64)
+    for step in (4, 6, 8):
+        want += flats[step - 1]
+    assert state.snapshot_sum.tobytes() == want.tobytes()
 
 
-def test_average_checkpoints_identity_and_mean():
-    state = _tiny_state()
+@pytest.mark.parametrize("total_steps, interval, window", [
+    (8, 2, 0), (8, 2, 10), (9, 2, 3), (11, 3, 2), (5, 1, 3), (6, 1, 6),
+], ids=["window-0", "window-beyond-snapshots", "total-not-multiple", "total-not-multiple-3",
+        "interval-1", "interval-1-every-step"])
+def test_running_sum_equals_the_window_average(total_steps, interval, window):
+    state = _tiny_state(total_steps=total_steps, snapshot_interval=interval,
+                        ckpt_average_window=window)
+    flats = _train_recording(state)
+    want, count = _window_mean(flats, interval, window)
+    assert state.snapshot_count == count
+    got = averaged_model(state).params.flat
+    assert got.tobytes() == (flats[-1] if want is None else want).tobytes()
+
+
+def test_running_average_identity_and_mean():
+    # a learning rate of 1e-300 moves no float32 value: every snapshot is the
+    # initial parameters, and their average is those bit for bit
+    tiny = dict(lr_start=1e-300, lr_peak=1e-300, lr_min=1e-300)
+    state = _tiny_state(total_steps=6, snapshot_interval=1, ckpt_average_window=3, **tiny)
     values = state.model.params.flat.copy()
-    avg = average_checkpoints([values, values, values])
-    assert avg.dtype == values.dtype and np.array_equal(avg, values)
-    avg2 = average_checkpoints([values, 3 * values])
-    assert np.allclose(avg2, 2 * values, atol=1e-6)
+    _train_recording(state)
+    assert np.array_equal(state.model.params.flat, values)
+    avg = averaged_model(state).params.flat
+    assert state.snapshot_count == 3 and avg.dtype == values.dtype
+    assert avg.tobytes() == values.tobytes()
+    # the snapshots v and 3v average to 2v
+    state = _tiny_state(total_steps=2, snapshot_interval=1, ckpt_average_window=2, **tiny)
+    batch = _batch_fn(0, np.random.default_rng(0))
+    train_step(state, batch)
+    state.model.params.flat *= 3
+    train_step(state, batch)
+    assert np.allclose(averaged_model(state).params.flat, 2 * values, atol=1e-6)
 
 
-def test_average_checkpoints_rejects_mismatch():
-    state = _tiny_state()
-    values = state.model.params.flat.copy()
-    with pytest.raises(ValueError):
-        average_checkpoints([values, values[1:]])
-    with pytest.raises(ValueError):
-        average_checkpoints([])
+def test_train_step_past_total_steps_raises():
+    state = _tiny_state(total_steps=2)
+    _train_recording(state)
+    summed = state.snapshot_sum.copy()
+    with pytest.raises(RuntimeError, match=r"total_steps \(2\)"):
+        train_step(state, _batch_fn(0, np.random.default_rng(0)))
+    assert state.step == 2 and np.array_equal(state.snapshot_sum, summed)
 
 
 def test_averaged_model_uses_snapshots():
     state = _tiny_state(total_steps=8)
-    train_loop(state, _batch_fn)
+    flats = _train_recording(state)
     avg = averaged_model(state)
-    assert np.array_equal(avg.params.flat, average_checkpoints(list(state.snapshots)))
+    assert np.array_equal(avg.params.flat, _window_mean(flats, 2, 3)[0])
     assert avg.params.flat is not state.model.params.flat
 
 
@@ -286,7 +374,7 @@ def test_parameters_stay_views_of_flat(tmp_path):
     _assert_views(averaged_model(state).params)     # no snapshot yet: a copy
     for step in range(2):
         train_step(state, _batch_fn(step, np.random.default_rng(step)))
-    assert len(state.snapshots) == 1
+    assert state.snapshot_count == 1
     _assert_views(model.params)
     _assert_views(averaged_model(state).params)
     _assert_views(model.params.astype(np.float64))
