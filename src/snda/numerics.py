@@ -1,7 +1,7 @@
 """Float arrays with reverse-mode differentiation.
 
 Just the ops a small non-causal transformer and its loss record: add,
-multiply, reshape, concat, layer norm, embedding gather/scatter,
+multiply, reshape, sum, concat, layer norm, embedding gather/scatter,
 cross-entropy, and three whole-sublayer ops that each record one tape node
 with an analytic backward: `linear` (x @ W + b), `ffn` (linear, ReLU,
 linear) and `attention` (multi-head attention with its projections). Their
@@ -105,10 +105,10 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad += g
+        # out of place: a gradient stored uncopied may be shared, as both
+        # parents of an add are handed the same array
+        g = g.astype(self.data.dtype, copy=False)
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
         """Accumulate d(self)/d(node) into every node of this scalar's graph,

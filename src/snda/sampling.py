@@ -4,9 +4,11 @@ Chains start from uniform-random tokens (or a clamped template) and apply
 the denoiser repeatedly: stochastic low-temperature steps, a deterministic
 argmax variant that re-unrolls the least-certain positions, partial-token
 updates with a triangular schedule, and model-score reranking over
-parallel chains. Chains run batched in lockstep, one forward per step over
-the distinct (conditioning, state) rows of all of them, with no autodiff
-tape. Tiny instances get an exact enumeration oracle.
+parallel chains. Chains run batched in lockstep, one forward per step with
+no autodiff tape: over the distinct (conditioning, state) rows of all of
+them where the step resamples every position, and over one row per chain,
+its last layer at the resampled positions only, where it resamples fewer.
+Tiny instances get an exact enumeration oracle.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ class SamplerConfig:
             raise ValueError(f"unknown strategy: {self.strategy}")
         if self.schedule not in ("constant", "triangular"):
             raise ValueError(f"unknown schedule: {self.schedule}")
-        if self.schedule == "constant" and not 0.0 < self.update_fraction <= 1.0:
-            raise ValueError("update_fraction must be in (0, 1]")
+        if not 0.0 < self.update_fraction <= 1.0:
+            raise ValueError(f"update_fraction must be in (0, 1], got {self.update_fraction}")
         if self.rerank_width < 1:
             raise ValueError("rerank_width must be >= 1")
         if not 0.0 <= self.uncertain_share <= 1.0:
@@ -193,37 +195,22 @@ def _take(cond: Conditioning | None, chains: np.ndarray) -> Conditioning | None:
 
 
 def _distinct_logits(model: DenoiserModel, x: np.ndarray, chains: np.ndarray,
-                     cond: Conditioning | None, groups: list[int],
-                     sel: np.ndarray | None = None) -> np.ndarray:
+                     cond: Conditioning | None, groups: list[int]) -> np.ndarray:
     """Denoiser logits [len(chains), N, v] of the states x of the given
-    chains (distinct, ascending), from one forward over the distinct (conditioning
-    group, state) rows among them. Rows of the forward are independent, so
-    each chain gets the logits it would get alone.
-
-    With sel [len(chains), k], each chain's logits at its positions sel
-    only, [len(chains), k, v]: the forward's last layer runs at the union of
-    the positions of the chains that share a row (padded with other
-    positions of the row to the widest union)."""
-    if len(chains) > 1:
-        slots, pick, inverse = {}, [], []
-        for k, (b, row) in enumerate(zip(chains, x)):
-            j = slots.setdefault((groups[b], row.tobytes()), len(pick))
-            if j == len(pick):
-                pick.append(k)
-            inverse.append(j)
-        if len(pick) < len(x):
-            kept = x[pick], _take(cond, chains[pick])
-            if sel is None:
-                return denoise_logits(model, *kept).data[inverse]
-            at = np.array(inverse)[:, None]
-            hit = np.zeros((len(pick), x.shape[1]), dtype=bool)
-            hit[at, sel] = True
-            # each row's hit positions first, ascending: position p of row j is
-            # column cumsum(hit[j])[p] - 1
-            union = np.argsort(~hit, axis=1, kind="stable")[:, :hit.sum(axis=1).max()]
-            logits = denoise_logits(model, *kept, positions=union).data
-            return logits[at, (np.cumsum(hit, axis=1) - 1)[at, sel]]
-    return denoise_logits(model, x, _take(cond, chains), positions=sel).data
+    chains (distinct, ascending), from one full forward over the distinct
+    (conditioning group, state) rows among them. Rows of the forward are
+    independent, so each chain gets the logits it would get alone. Only
+    forwards whose every position is read merge rows: a step that resamples
+    fewer than N positions runs one row per chain instead."""
+    slots, pick, inverse = {}, [], []
+    for k, (b, row) in enumerate(zip(chains, x)):
+        j = slots.setdefault((groups[b], row.tobytes()), len(pick))
+        if j == len(pick):
+            pick.append(k)
+        inverse.append(j)
+    if len(pick) < len(x):
+        return denoise_logits(model, x[pick], _take(cond, chains[pick])).data[inverse]
+    return denoise_logits(model, x, _take(cond, chains)).data
 
 
 @no_grad()
@@ -235,24 +222,24 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
 
     Chain b draws from its own rng seeded seeds[b], so it equals the chain
     that runs alone with that seed. Each step is one denoiser forward over
-    the distinct (conditioning row, state) pairs of the chains still
-    running, whose logits chains with equal pairs share, and, for low_temp,
-    one tempered softmax over the positions they resample; only the rng
-    draws run chain by chain. A low_temp step that resamples fewer than N
-    positions draws each chain's positions before its forward, whose last
-    layer then runs at those positions only, and their uniforms after it.
-    Chains that stop early leave the batch.
+    the chains still running and, for low_temp, one tempered softmax over
+    the positions they resample; only the rng draws run chain by chain. A
+    step picks its forward by one rule. One that resamples all N positions
+    (and every argmax_unrolled step) runs a full forward over the distinct
+    (conditioning row, state) pairs, whose logits chains with equal pairs
+    share. A low_temp step that resamples fewer than N positions draws each
+    chain's positions before its forward, which takes one row per chain and
+    runs its last layer at those positions only, and their uniforms after
+    it. Chains that stop early leave the batch.
 
     Chains are scored (ChainTrace.final_score) only when cfg.rerank_width
     is 2 or more, since `rerank` alone reads the scores; scoring changes no
-    chain state. Scored chains that stop on a step that resampled every free
-    position (or on any argmax_unrolled step) are scored with the logits
-    that step computed, since their final states are its inputs, so such a
-    step runs its full forward even where fewer than N positions are free;
-    every other chain is scored in one forward at the end, over the distinct
-    pairs too. `cond` holds one row per chain; no seeds give no traces. A
-    template must have the model's length N, and its clamped ids must lie in
-    [0, v).
+    chain state. Scored chains that stop on a full-forward step are scored
+    with the logits that step computed, since their final states are its
+    inputs; every other chain is scored in one full forward at the end,
+    over the distinct pairs too. `cond` holds one row per chain; no seeds
+    give no traces. A template must have the model's length N, and its
+    clamped ids must lie in [0, v).
     """
     mcfg = model.config
     if mcfg.mode == "encoder_decoder" and cond is None:
@@ -300,10 +287,9 @@ def sample_chains(model: DenoiserModel, cfg: SamplerConfig, seeds,
             resampled = sel.shape[1] > 0
             y = rows
             if resampled:
-                # the last layer runs at sel only, unless the step's full logits
-                # would score the chains that stop on it
-                if sel.shape[1] < (len(free) if scored else mcfg.N):
-                    picked = _distinct_logits(model, rows, active, cond, groups, sel)
+                if sel.shape[1] < mcfg.N:   # the last layer runs at sel only
+                    picked = denoise_logits(model, rows, _take(cond, active),
+                                            positions=sel).data
                 else:
                     logits = _distinct_logits(model, rows, active, cond, groups)
                     picked = logits[np.arange(len(rows))[:, None], sel]

@@ -390,10 +390,12 @@ def test_negative_seed_is_a_usage_error(tiny_ckpts, capsys, argv, key):
     ("inpaint --checkpoint junk.ckpt --template a*b --sampler.strategy banana",
      "unknown strategy: banana"),
     (f"ablate {_COPY_TASK} {_TRAIN_TINY} --sampler.T -1", "sampler.T must be >= 0"),
+    ("sample --checkpoint junk.ckpt --sampler.schedule triangular --sampler.update_fraction 5",
+     "sampler.update_fraction must be in (0, 1], got 5"),
     ("bench --checkpoint junk.ckpt --steps 0 --count 2", "steps must be >= 1, got 0"),
     ("bench --steps 4,-1 --count 2 --model.N 8 --model.v 8", "steps must be >= 1, got -1"),
 ], ids=["sample-temperature", "translate-T", "eval-task-rerank", "inpaint-strategy", "ablate-T",
-        "bench-checkpoint-steps", "bench-steps"])
+        "sample-triangular-update-fraction", "bench-checkpoint-steps", "bench-steps"])
 def test_out_of_range_values_are_usage_errors(tiny_ckpts, capsys, argv, message):
     # junk.ckpt would fail if read, and no model is built: the values are checked first
     (tiny_ckpts / "junk.ckpt").write_bytes(b"XXXXnothing")

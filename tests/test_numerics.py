@@ -287,6 +287,19 @@ def test_backward_accumulates_through_shared_nodes():
     assert np.allclose(a.grad, 8.0)  # d/da 2a^2 = 4a
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["shared+square", "square+shared"])
+def test_leaves_that_share_an_add_gradient_keep_their_own(swap):
+    # an add hands both its parents one gradient array, which each leaf may
+    # store uncopied; a's second term, in either order, must not reach b's
+    rng = np.random.default_rng(0)
+    a, b = (Tensor(rng.standard_normal(3), requires_grad=True) for _ in range(2))
+    c = rng.standard_normal(3)
+    shared, square = (a + b) * Tensor(c), a * a
+    (square + shared if swap else shared + square).sum().backward()
+    assert np.array_equal(b.grad, c)
+    assert np.allclose(a.grad, c + 2 * a.data)
+
+
 def test_no_grad_records_no_tape():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     b = Tensor(np.zeros(2), requires_grad=True)

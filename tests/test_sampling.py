@@ -26,6 +26,12 @@ def test_sampler_config_validation():
         SamplerConfig(strategy="beam")
     with pytest.raises(ValueError):
         SamplerConfig(update_fraction=0.0)
+    # checked whatever the schedule, though the triangular one sets its own counts
+    for schedule in ("constant", "triangular"):
+        for value in (0.0, -0.5, 1.5, 5.0):
+            with pytest.raises(ValueError, match=r"update_fraction must be in \(0, 1\]"):
+                SamplerConfig(schedule=schedule, update_fraction=value)
+        assert SamplerConfig(schedule=schedule, update_fraction=1.0).update_fraction == 1.0
     with pytest.raises(ValueError):
         SamplerConfig(rerank_width=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -307,7 +313,8 @@ def test_full_update_chains_run_one_forward_per_step(tiny_model, tiny_encdec, mo
         cond = cond.take([0] * 4 + [1] * 4)
     calls, forward = [], sampling.denoise_logits
     monkeypatch.setattr(sampling, "denoise_logits",
-                        lambda *a, positions=None, **k: calls.append(positions) or
+                        lambda *a, positions=None, **k:
+                        calls.append(None if positions is None else np.shape(positions)[1]) or
                         forward(*a, positions=positions, **k))
     # the translate and inpaint default: each step resamples every free position
     cfg = SamplerConfig(T=4, temperature=0.3, rerank_width=2)
@@ -315,34 +322,52 @@ def test_full_update_chains_run_one_forward_per_step(tiny_model, tiny_encdec, mo
     steps = max(len(t.changed) for t in traces)
     ran_all = any(t.changed[-1] != 0 for t in traces)
     assert (steps, ran_all) == ((2, False) if peaked else (4, True))
-    # one full forward per step, and a scoring one only for chains that ran all T steps
-    assert calls == [None] * (steps + ran_all)
+    if conditioned:
+        # one full forward per step, and a scoring one only for chains that ran all T steps
+        assert calls == [None] * (steps + ran_all)
+    else:
+        # a template step resamples 5 of the 8 positions, so its last layer runs
+        # at those only, and every chain is scored in one full forward at the end
+        assert calls == [5] * steps + [None]
 
 
 def test_chains_that_share_a_row_get_their_own_positions(tiny_model, monkeypatch):
     import snda.sampling as sampling
-    x = np.random.default_rng(0).integers(0, 8, size=(3, 8))[[0, 1, 0, 2, 0]]
-    sel = np.array([[0, 5], [1, 2], [7, 5], [3, 4], [2, 6]])    # chains 0, 2 and 4 share a row
     calls, forward = [], sampling.denoise_logits
-    monkeypatch.setattr(sampling, "denoise_logits",
-                        lambda model, x, *a, positions=None, **k:
-                        calls.append((len(x), np.shape(positions))) or
-                        forward(model, x, *a, positions=positions, **k))
+
+    def traced(model, x, *a, positions=None, **k):
+        out = forward(model, x, *a, positions=positions, **k)
+        calls.append((x, positions, out.data))
+        return out
+
+    monkeypatch.setattr(sampling, "denoise_logits", traced)
+    # seeds 30, 66 and 105 draw the same free tokens under this template, then
+    # each its own 2 of the 3 free positions
+    sample_chains(tiny_model, SamplerConfig(T=1, update_fraction=0.25), [30, 1, 66, 2, 105],
+                  Template(np.arange(8), np.arange(8) < 5))
+    [(x, sel, got)] = calls
+    assert all(np.array_equal(x[0], x[k]) for k in (2, 4))
+    assert len({frozenset(sel[k]) for k in (0, 2, 4)}) == 3
+    # one forward over all 5 rows, each at its own positions
+    assert (len(x), np.shape(sel)) == (5, (5, 2))
     with no_grad():
-        got = sampling._distinct_logits(tiny_model, x, np.arange(5), None, [0] * 5, sel)
         full = forward(tiny_model, x).data
-    # one forward over the 3 distinct rows, at the 5 positions of the shared row's union
-    assert calls == [(3, (3, 5))]
     assert np.array_equal(got, np.take_along_axis(full, sel[..., None], axis=1))
 
 
 def test_partial_update_chains_are_scored_over_their_final_state(tiny_model):
-    cfg = SamplerConfig(T=8, temperature=0.03, update_fraction=0.5, rerank_width=2)
-    traces = sample_chains(tiny_model, cfg, range(8))
-    assert any(len(t.changed) < cfg.T for t in traces)
-    for t in traces:
-        y = t.states[-1][None]
-        assert t.final_score == _chain_scores(denoise_logits(tiny_model, y).data, y)[0]
+    # uniform chains at update fraction 0.5, and template chains whose steps
+    # resample their 5 free positions of 8: both run partial forwards
+    for update_fraction, init in [(0.5, None),
+                                  (1.0, Template(np.arange(8), np.arange(8) < 3))]:
+        cfg = SamplerConfig(T=8, temperature=0.03, update_fraction=update_fraction,
+                            rerank_width=2)
+        traces = sample_chains(tiny_model, cfg, range(8), init)
+        assert any(len(t.changed) < cfg.T for t in traces)
+        for t in traces:
+            y = t.states[-1][None]
+            assert t.final_score == _chain_scores(denoise_logits(tiny_model, y).data, y)[0]
+            assert t.final_score == model_score(tiny_model, t.states[-1])
 
 
 @pytest.mark.parametrize("strategy, update_fraction, clamped, step_positions", [
@@ -369,11 +394,11 @@ def test_chains_are_scored_only_where_they_are_reranked(tiny_model, monkeypatch,
     traces = sample_chains(tiny_model, cfg, range(8), init)
     assert calls == step_positions and scored == []
     assert all(t.final_score is None for t in traces)
-    # reranked chains run each template step in full, to score the chains that
-    # stop on it, and score every chain that ran all T steps in one forward
+    # reranked chains run the same step forwards, and score every chain that
+    # ran all T steps in one forward
     calls.clear()
     traces = sample_chains(tiny_model, replace(cfg, rerank_width=2), range(8), init)
-    assert calls == [None if clamped else p for p in step_positions] + [None]
+    assert calls == step_positions + [None]
     assert scored == [8] and all(t.final_score is not None for t in traces)
 
 
@@ -578,6 +603,11 @@ def test_encoder_decoder_chain_requires_cond(tiny_encdec):
 @example(seeds=[3, 3, 8, 3], strategy="low_temp", schedule="constant", temperature=0.5,
          T=8, early_stop=True, template_seed=None, conditioning="per_chain",
          rerank_width=2)
+# repeated seeds under one source with partial steps: chains that share a
+# row run it unmerged, each at its own positions
+@example(seeds=[3, 3, 8, 3], strategy="low_temp", schedule="half", temperature=0.5,
+         T=8, early_stop=True, template_seed=None, conditioning="shared",
+         rerank_width=2)
 @example(seeds=[3, 3, 8, 3], strategy="argmax_unrolled", schedule="constant",
          temperature=0.5, T=8, early_stop=True, template_seed=None, conditioning="per_chain",
          rerank_width=2)
@@ -606,12 +636,13 @@ def test_sample_chains_equal_one_chain_per_seed(tiny_model, tiny_encdec, seeds, 
     import snda.sampling as sampling
     rows, unrolling = [], []
 
-    def forward(model, x, c=None, **kw):
+    def forward(model, x, c=None, positions=None):
         if not unrolling:
-            rows.append([state.tobytes() + (b"" if c is None else c.memory.data[k].tobytes()
-                                            + c.key_mask[k].tobytes())
-                         for k, state in enumerate(np.reshape(x, (-1, 8)))])
-        return denoise_logits(model, x, c, **kw)
+            rows.append(([state.tobytes() + (b"" if c is None else c.memory.data[k].tobytes()
+                                             + c.key_mask[k].tobytes())
+                          for k, state in enumerate(np.reshape(x, (-1, 8)))],
+                         positions is not None))
+        return denoise_logits(model, x, c, positions=positions)
 
     def unroll(*a, **kw):
         unrolling.append(True)
@@ -624,9 +655,16 @@ def test_sample_chains_equal_one_chain_per_seed(tiny_model, tiny_encdec, seeds, 
         mp.setattr(sampling, "denoise_logits", forward)
         mp.setattr(sampling, "argmax_unrolled_step", unroll)
         batched = sample_chains(model, cfg, seeds, init, cond)
-    # each forward over the chains takes every (state, conditioning) row
+    # each full forward over the chains takes every (state, conditioning) row
     # once; argmax_unrolled's unroll forward is not merged
-    assert [len(keys) for keys in rows] == [len(set(keys)) for keys in rows]
+    full = [keys for keys, partial in rows if not partial]
+    assert [len(keys) for keys in full] == [len(set(keys)) for keys in full]
+    # a partial forward, on a low_temp step that resamples fewer than 8
+    # positions, takes one row per chain that runs the step
+    free = 8 if init is None else int((~init.clamp_mask).sum())
+    running = [sum(len(trace.changed) >= t for trace in batched) for t in range(1, T + 1)
+               if strategy == "low_temp" and 0 < min(sampling._step_count(cfg, t, 8), free) < 8]
+    assert [len(keys) for keys, partial in rows if partial] == [n for n in running if n]
     for trace, seed, row_cond in zip(batched, seeds, conds):
         alone = sample_chain(model, replace(cfg, seed=seed), init, row_cond)
         assert len(trace.states) == len(alone.states)
