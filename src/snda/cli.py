@@ -13,7 +13,7 @@ import numpy as np
 from .checkpoint import Checkpoint, CheckpointError, read_checkpoint, save_checkpoint
 from .config import (ConfigError, RunConfig, integer, parse_config_file, set_key,
                      temperatures)
-from .data import PAD, Vocab, encode, decode, load_corpus, TokenSeq
+from .data import PAD, UNK, Vocab, encode, decode, load_corpus, TokenSeq
 from .evaluation import draw_samples, exact_match, quality_diversity_curve, strip_pad, translate
 from .experiments import (ABLATION_SAMPLER, LM_TRAIN_STEPS, TASK_TRAIN_STEPS, ablation_report,
                           bench_report, desk_model_config, desk_train_config, heldout_pairs,
@@ -68,7 +68,8 @@ def _save_run(cfg: RunConfig, model, lines: list[str], seed: int, task=None) -> 
     log_path = cfg.get("out") or "metrics.log"
     with open(log_path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-    save_checkpoint(model, ckpt_path, seed=seed, task=task)
+    steps = cfg.train.get("total_steps", LM_TRAIN_STEPS if task is None else TASK_TRAIN_STEPS)
+    save_checkpoint(model, ckpt_path, step=steps, seed=seed, task=task)
     print(f"checkpoint written to {ckpt_path}; metrics log in {log_path}")
     return 0
 
@@ -144,10 +145,14 @@ def cmd_translate(cfg: RunConfig) -> int:
             blank.append(not text.strip())
             if blank[-1]:
                 continue
-            n = len(Vocab.split(text, vocab.kind))
-            if n > N_source:
-                raise ConfigError(f"--input line {lineno} has {n} tokens; "
+            parts = Vocab.split(text, vocab.kind)
+            if len(parts) > N_source:
+                raise ConfigError(f"--input line {lineno} has {len(parts)} tokens; "
                                   f"the model's N_source is {N_source}")
+            for i, part in enumerate(parts, 1):
+                if vocab.id_of(part) == UNK:
+                    raise ConfigError(f"--input line {lineno}, token {i}: {part!r} is not "
+                                      f"in the vocabulary")
             sources.append(encode(text, vocab, N_source))
     bests = iter(translate(model, sources, SamplerConfig(**cfg.sampler)))
     _emit(cfg, ["" if b else _text(strip_pad(next(bests)), vocab) for b in blank])
@@ -170,6 +175,8 @@ def cmd_inpaint(cfg: RunConfig) -> int:
             clamp[i] = False
         else:
             tokens[i] = vocab.id_of(part)
+            if tokens[i] == UNK:
+                raise ConfigError(f"--template token {i + 1}: {part!r} is not in the vocabulary")
     chain = sample_chain(model, SamplerConfig(**cfg.sampler), init=Template(tokens, clamp))
     _emit(cfg, [decode(TokenSeq(chain.states[-1], len(parts)), vocab)])
     return 0

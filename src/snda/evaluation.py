@@ -168,13 +168,6 @@ def corpus_bleu(hypotheses: list, reference_lists: list,
     return _score(matches, totals, hyp_len, ref_len)
 
 
-def bleu(hypotheses: list, references: list, cfg: BleuConfig | None = None) -> float:
-    """Corpus BLEU with one reference per hypothesis."""
-    if len(hypotheses) != len(references):
-        raise ValueError("hypothesis and reference counts differ")
-    return corpus_bleu(hypotheses, [[r] for r in references], cfg)
-
-
 def self_bleu(samples: list, cfg: BleuConfig | None = None) -> float:
     """Mean over samples of BLEU against all other samples as references.
 
@@ -262,7 +255,6 @@ def curve_temperatures(temperatures) -> list[float]:
 def quality_diversity_curve(model, temperatures: list[float],
                             samples_per_temp: int, reference_corpus: list,
                             sampler_cfg: SamplerConfig | None = None,
-                            bleu_cfg: BleuConfig | None = None,
                             seed: int = 0) -> list[QDPoint]:
     """Quality BLEU vs reference corpus and self-BLEU, per temperature.
 
@@ -275,8 +267,7 @@ def quality_diversity_curve(model, temperatures: list[float],
     temperatures = curve_temperatures(temperatures)
     base = sampler_cfg or SamplerConfig(T=16, temperature=1.0,
                                         update_fraction=0.3, early_stop=True)
-    bleu_cfg = bleu_cfg or BleuConfig()
-    refs = ClipTable.build(reference_corpus, bleu_cfg.max_order)
+    refs = ClipTable.build(reference_corpus, BleuConfig().max_order)
     points = []
     for k, tau in enumerate(temperatures):
         cfg = replace(base, temperature=tau)
@@ -284,8 +275,8 @@ def quality_diversity_curve(model, temperatures: list[float],
         drawn = draw_samples(model, cfg, 2 * samples_per_temp, offset)
         quality_set = [h for h in drawn[:samples_per_temp] if h]
         diversity_set = [h for h in drawn[samples_per_temp:] if h]
-        q = corpus_bleu(quality_set, [refs] * len(quality_set), bleu_cfg) if quality_set else 0.0
-        d = self_bleu(diversity_set, bleu_cfg) if len(diversity_set) >= 2 else 0.0
+        q = corpus_bleu(quality_set, [refs] * len(quality_set)) if quality_set else 0.0
+        d = self_bleu(diversity_set) if len(diversity_set) >= 2 else 0.0
         points.append(QDPoint(temperature=tau, quality_bleu=q, self_bleu=d))
     return points
 

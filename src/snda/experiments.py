@@ -73,14 +73,13 @@ def heldout_pairs(kind: str, seed: int, count: int, len_range, v_task: int,
 def train_synthetic(kind: str, unroll_terms: int = 2, length_pred: bool = True,
                     seed: int = 0, v_task: int = 14, len_range=(4, 12),
                     N: int = 16, total_steps: int = TASK_TRAIN_STEPS, batch_size: int = 32,
-                    heldout_count: int = 100, log_fn=None,
-                    model_overrides: dict | None = None,
+                    log_fn=None, model_overrides: dict | None = None,
                     **train_overrides) -> tuple[DenoiserModel, list]:
     """Train an encoder-decoder denoiser on copy / reverse_cipher.
 
     With length_pred off every batch carries a constant target length of 1
     so the length embedding is uninformative. Returns (averaged model,
-    held-out pairs).
+    100 held-out pairs).
     """
     def batch_fn(step, rng):
         draw = int(rng.integers(0, 2**31))
@@ -95,7 +94,7 @@ def train_synthetic(kind: str, unroll_terms: int = 2, length_pred: bool = True,
     model = _train(v_task + 2, N, "encoder_decoder", model_overrides, batch_fn, seed,
                    total_steps, batch_size, log_fn, unroll_terms=unroll_terms,
                    **train_overrides)
-    return model, heldout_pairs(kind, seed, heldout_count, len_range, v_task, N)
+    return model, heldout_pairs(kind, seed, 100, len_range, v_task, N)
 
 
 def train_lm(lines: list[str], vocab: Vocab, seed: int = 0, N: int = 32,
@@ -117,10 +116,9 @@ def train_lm(lines: list[str], vocab: Vocab, seed: int = 0, N: int = 32,
 
 
 def train_toy_lm(seed: int = 0, total_steps: int = LM_TRAIN_STEPS, batch_size: int = 32,
-                 N: int = 32, corpus_docs: int = 2000, log_fn=None,
-                 **train_overrides):
-    """Character-level toy language model on the template-grammar corpus."""
-    lines = toy_char_corpus(seed + 5, corpus_docs)
+                 N: int = 32, log_fn=None, **train_overrides):
+    """Character-level toy language model on 2000 template-grammar documents."""
+    lines = toy_char_corpus(seed + 5, 2000)
     vocab = Vocab.from_corpus(lines, kind="char")
     model = train_lm(lines, vocab, seed, N, total_steps, batch_size, log_fn=log_fn,
                      **train_overrides)
@@ -165,8 +163,10 @@ def bench_report(model: DenoiserModel, T_values: list[int], batch: int = 32,
     baseline's one forward per position. The wall clock is measured for
     both on the same network: the chains through `sample_chains`, `batch`
     of them in lockstep, the baseline tape-free like them. The timed chains
-    are not reranked, so they run T forwards and no scoring one. Paper
-    reference gains are printed alongside, never asserted.
+    are not reranked, so they run T forwards and no scoring one. Each side
+    is timed as the median of 5 calls, run round by round (the baseline,
+    then each T) so that drift in the host's speed reaches every side
+    alike. Paper reference gains are printed alongside, never asserted.
     """
     N = model.config.N
     ids = np.random.default_rng(seed).integers(0, model.config.v, size=(batch, N))
@@ -183,21 +183,19 @@ def bench_report(model: DenoiserModel, T_values: list[int], batch: int = 32,
         sample_chains(model, SamplerConfig(T=T, temperature=0.5, early_stop=False),
                       seeds=range(seed, seed + batch))
 
-    def timed(fn, repeats=2):
-        best = float("inf")
-        for _ in range(repeats):
+    chain_decode(1)  # warm caches before timing
+    sides = [ar_decode] + [lambda T=T: chain_decode(T) for T in T_values]
+    times = [[] for _ in sides]
+    for _ in range(5):
+        for fn, side_times in zip(sides, times):
             t0 = time.perf_counter()
             fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    chain_decode(1)  # warm caches before timing
-    ar_time = timed(ar_decode)
+            side_times.append(time.perf_counter() - t0)
+    ar_time, *chain_times = [float(np.median(side_times)) for side_times in times]
 
     paper_gain = {4: "4.7x", 8: "2.6x", 10: "2.2x", 16: "1.4x"}
     rows = []
-    for T in T_values:
-        chain_time = timed(lambda: chain_decode(T))
+    for T, chain_time in zip(T_values, chain_times):
         rows.append({
             "N": N, "T": T,
             "forward_pass_ratio": N / T,

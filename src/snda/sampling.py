@@ -85,25 +85,6 @@ def triangular_count(t: int, T: int, N: int) -> int:
     return math.floor(2 * N * min(t / T, 1 - t / T))
 
 
-def sample_step_low_temp(logits: np.ndarray, y_prev: np.ndarray, tau: float,
-                         update_count: int, clamp_mask: np.ndarray | None,
-                         rngs: list[np.random.Generator]) -> np.ndarray:
-    """Resample `update_count` random unclamped positions of each chain's
-    state, the rows of y_prev [B, N], at temperature tau from their denoiser
-    logits [B, N, v].
-
-    Row b draws its positions and then their uniforms from rngs[b]; one
-    tempered softmax and one inverse-CDF lookup serve the drawn positions
-    of every row.
-    """
-    y = np.array(y_prev, dtype=np.int64)
-    if len(rngs) != len(y):
-        raise ValueError(f"{len(y)} chains need {len(y)} rngs, got {len(rngs)}")
-    free = np.flatnonzero(~clamp_mask) if clamp_mask is not None else np.arange(y.shape[1])
-    sel = _draw_positions(free, update_count, rngs)
-    return _resample(y, sel, logits[np.arange(len(y))[:, None], sel], tau, rngs)
-
-
 def _draw_positions(free: np.ndarray, count: int,
                     rngs: list[np.random.Generator]) -> np.ndarray:
     """Per rng, min(count, len(free)) distinct positions of `free`, [len(rngs), k]."""
@@ -120,8 +101,6 @@ def _resample(y: np.ndarray, sel: np.ndarray, logits: np.ndarray, tau: float,
     """y [B, N] with the positions sel [B, k] of each row redrawn at
     temperature tau from their logits [B, k, v], by uniforms row b draws
     from rngs[b]; y itself is overwritten."""
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
     if sel.shape[1]:
         u = np.empty(sel.shape + (1,))
         for b, rng in enumerate(rngs):

@@ -103,10 +103,9 @@ def inverse_cdf(logits: np.ndarray, u: np.ndarray, temperature: float = 1.0) -> 
     return np.minimum((u > cdf).sum(axis=-1), cdf.shape[-1] - 1)
 
 
-def sample_tokens(logits: np.ndarray, rng: np.random.Generator,
-                  temperature: float = 1.0) -> np.ndarray:
-    """Inverse-CDF sample per position from softmax(logits / temperature)."""
-    return inverse_cdf(logits, rng.random(np.shape(logits)[:-1] + (1,)), temperature)
+def sample_tokens(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF sample per position from softmax(logits)."""
+    return inverse_cdf(logits, rng.random(np.shape(logits)[:-1] + (1,)))
 
 
 def loss_unrolled(model: DenoiserModel, batch, s: int,
@@ -211,20 +210,16 @@ def metrics_line(state: TrainState, loss: float, terms: list[float]) -> str:
     return " ".join(parts)
 
 
-def train_loop(state: TrainState, batch_fn, log_every: int = 50,
-               log_fn=None) -> list[str]:
-    """Run total_steps steps; batch_fn(step, rng) must be seed-deterministic."""
-    lines = []
+def train_loop(state: TrainState, batch_fn, log_every: int = 50, log_fn=None):
+    """Run total_steps steps, passing the metrics line of every log_every-th
+    step and of the last to log_fn; batch_fn(step, rng) must be
+    seed-deterministic."""
     batch_rng = np.random.default_rng(state.cfg.seed + 1)
     for _ in range(state.cfg.total_steps):
         batch = batch_fn(state.step, batch_rng)
         loss, terms = train_step(state, batch)
-        if state.step % log_every == 0 or state.step == state.cfg.total_steps:
-            line = metrics_line(state, loss, terms)
-            lines.append(line)
-            if log_fn:
-                log_fn(line)
-    return lines
+        if log_fn and (state.step % log_every == 0 or state.step == state.cfg.total_steps):
+            log_fn(metrics_line(state, loss, terms))
 
 
 def averaged_model(state: TrainState) -> DenoiserModel:

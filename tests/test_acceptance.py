@@ -22,8 +22,7 @@ from snda.experiments import (bench_report, desk_model_config, train_synthetic,
 from snda.model import ModelConfig, denoise_logits, init_model
 from snda.numerics import grad_check, log_softmax_array
 from snda.sampling import (SamplerConfig, Template, argmax_unrolled_step,
-                           exact_chain_prob, sample_chain,
-                           sample_step_low_temp)
+                           exact_chain_prob, sample_chain, sample_chains)
 from snda.training import (TrainConfig, averaged_model, loss_unrolled, make_train_state,
                            train_step)
 from tests.conftest import perturb
@@ -148,12 +147,15 @@ def test_criterion_07_decoding_equivalences():
                                    0.0, None)
         assert np.array_equal(out, denoise_logits(model, y).data.argmax(-1))
 
-    # (b) low_temp at tau=1e-6 equals argmax on 100 random states
-    for i in range(100):
-        y = rng.integers(0, 8, size=8)
-        out = sample_step_low_temp(denoise_logits(model, y[None]).data, y[None], 1e-6, 8,
-                                   None, [np.random.default_rng(i)])
-        assert np.array_equal(out[0], denoise_logits(model, y).data.argmax(-1))
+    # (b) low_temp at tau=1e-6 equals argmax on 100 random states: the first
+    # step of 100 chains, each from the uniform state its seed draws
+    traces = sample_chains(model, SamplerConfig(T=1, temperature=1e-6, early_stop=False),
+                           range(100))
+    y = np.stack([trace.states[0] for trace in traces])
+    assert len({row.tobytes() for row in y}) == 100
+    want = denoise_logits(model, y).data.argmax(-1)
+    for trace, argmax in zip(traces, want):
+        assert np.array_equal(trace.states[1], argmax)
 
     # (c) clamped positions never change across 1000 randomized chains
     for i in range(1000):

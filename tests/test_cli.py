@@ -5,13 +5,14 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import snda
-from snda import cli, evaluation
+from snda import cli, config, evaluation
 from snda.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from snda.cli import run
 from snda.data import Vocab, decode, encode, TokenSeq
@@ -149,6 +150,9 @@ def test_train_passes_model_and_train_settings(in_tmp, capsys):
                 "--train.total_steps", "4", "--train.batch_size", "4",
                 "--checkpoint", "lm.ckpt"]) == 0
     assert load_checkpoint("lm.ckpt")[0].config.layers == 3
+    # each checkpoint records the steps its run trained
+    assert read_checkpoint("deep.ckpt").step == 30
+    assert read_checkpoint("lm.ckpt").step == 4
 
 
 @pytest.mark.parametrize("extra", [["--steps", "3"], ["--model.v", "9"],
@@ -319,6 +323,24 @@ def test_decoding_refuses_text_longer_than_the_model(tiny_ckpts, capsys):
     assert run("inpaint --checkpoint lm.ckpt --sampler.T 1 --template a*a*a*a*".split()) == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert len(line) == 8 and line[::2] == "aaaa"
+
+
+def test_decoding_refuses_tokens_outside_the_vocabulary(tiny_ckpts, capsys, monkeypatch):
+    # the vocabulary is a..f: any other token would decode as <unk>, an id no
+    # training batch held
+    decodes = []
+    monkeypatch.setattr(cli, "sample_chain", lambda *a, **k: decodes.append(a))
+    monkeypatch.setattr(cli, "translate", lambda *a, **k: decodes.append(a))
+    assert run("inpaint --checkpoint lm.ckpt --sampler.T 1 --template a*zQ".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and (
+        "error: --template token 3: 'z' is not in the vocabulary" in captured.err)
+    (tiny_ckpts / "odd.txt").write_text("abc\n\nabz\n")
+    assert run("translate --checkpoint mt.ckpt --input odd.txt --sampler.T 1".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and (
+        "error: --input line 3, token 3: 'z' is not in the vocabulary" in captured.err)
+    assert decodes == []
 
 
 @pytest.mark.parametrize("dtype", ["float16", "banana", "int32"])
@@ -587,6 +609,33 @@ def test_translate_answers_a_blank_input_line_with_an_empty_line(tiny_ckpts, tin
     first, second = [decode(TokenSeq(best, len(evaluation.strip_pad(best))), vocab)
                      for best in bests]
     assert capsys.readouterr().out.splitlines() == [first, "", second]
+
+
+def _flags(text: str) -> set[str]:
+    """The --flags that text names, outside pip lines and the --key placeholder."""
+    return {flag.rstrip(".") for line in text.splitlines()
+            if not line.lstrip().startswith("pip ")
+            for flag in re.findall(r"--([\w.*]+)", line)} - {"key"}
+
+
+def _flags_a_command_reads() -> set[str]:
+    read = {"config"}   # every command reads a --config file
+    for b in cli.COMMANDS:
+        read.update(b.keys)
+        for section in b.sections:
+            names = {f"{section}.{f.name}" for f in fields(config._SECTIONS[section])}
+            read.update(names - set(b.unread), {f"{section}.*"})
+    return read
+
+
+def test_readme_names_only_flags_a_command_reads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = _flags(readme)
+    assert {"checkpoint", "template", "input", "train.*", "sampler.rerank_width"} <= named
+    assert named - _flags_a_command_reads() == set()
+    # a flag no command reads, or a field of a section that none reads, is caught
+    planted = readme + "\n`--banana 1` and `--bench.steps 2`.\n"
+    assert _flags(planted) - _flags_a_command_reads() == {"banana", "bench.steps"}
 
 
 def _quick_start_commands():

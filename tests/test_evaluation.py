@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import snda
 from snda import evaluation
 from snda.data import PAD, TokenSeq
-from snda.evaluation import (BleuConfig, ClipTable, bleu, corpus_bleu, draw_samples, exact_match,
+from snda.evaluation import (BleuConfig, ClipTable, corpus_bleu, draw_samples, exact_match,
                              quality_diversity_curve, self_bleu, strip_pad, translate)
 from snda.experiments import desk_model_config
 from snda.model import init_model
@@ -24,28 +24,28 @@ from snda.sampling import SamplerConfig, rerank_seeds, sample_chains
 
 def test_bleu_perfect_match_is_100():
     corpus = [["a", "b", "c", "d", "e"], ["x", "y", "z", "w", "q"]]
-    assert bleu(corpus, corpus) == pytest.approx(100.0)
+    assert corpus_bleu(corpus, [[r] for r in corpus]) == pytest.approx(100.0)
 
 
 def test_bleu_hand_computed_brevity_penalty():
     # hyp 4 tokens, ref 5: all n-gram precisions 1, BP = exp(1 - 5/4)
     hyp = [["a", "b", "c", "d"]]
     ref = [["a", "b", "c", "d", "e"]]
-    assert bleu(hyp, ref) == pytest.approx(100.0 * math.exp(1 - 5 / 4))
+    assert corpus_bleu(hyp, [ref]) == pytest.approx(100.0 * math.exp(1 - 5 / 4))
 
 
 def test_bleu_hand_computed_precisions():
     # hyp: the cat the cat / ref: the cat sat -- unigram clip: the(1)+cat(1)
     hyp = [["the", "cat", "the", "cat"]]
     ref = [["the", "cat", "sat"]]
-    got = bleu(hyp, ref, BleuConfig(max_order=2))
+    got = corpus_bleu(hyp, [ref], BleuConfig(max_order=2))
     p1 = 2 / 4
     p2 = 1 / 3  # "the cat" twice in hyp, once in ref -> clipped to 1
     assert got == pytest.approx(100.0 * math.sqrt(p1 * p2))
 
 
 def test_bleu_zero_precision_zeroes_score():
-    assert bleu([["a", "b", "c", "d"]], [["e", "f", "g", "h"]]) == 0.0
+    assert corpus_bleu([["a", "b", "c", "d"]], [[["e", "f", "g", "h"]]]) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -80,15 +80,15 @@ def test_bleu_permutation_invariance():
     rng = np.random.default_rng(0)
     hyps = [[str(t) for t in rng.integers(0, 5, size=6)] for _ in range(10)]
     refs = [[str(t) for t in rng.integers(0, 5, size=6)] for _ in range(10)]
-    base = bleu(hyps, refs)
+    base = corpus_bleu(hyps, [[r] for r in refs])
     order = rng.permutation(10)
-    assert bleu([hyps[i] for i in order],
-                [refs[i] for i in order]) == pytest.approx(base)
+    assert corpus_bleu([hyps[i] for i in order],
+                       [[refs[i]] for i in order]) == pytest.approx(base)
 
 
 def test_bleu_validates_inputs():
     with pytest.raises(ValueError):
-        bleu([["a"]], [])
+        corpus_bleu([["a"]], [])
     with pytest.raises(ValueError):
         corpus_bleu([], [])
     with pytest.raises(ValueError):
@@ -115,10 +115,10 @@ def test_self_bleu_needs_two():
 @given(st.lists(st.lists(st.sampled_from("abcd"), min_size=4, max_size=8),
                 min_size=1, max_size=6))
 def test_bleu_bounded(h):
-    score = bleu(h, h)
+    score = corpus_bleu(h, [[x] for x in h])
     assert score == pytest.approx(100.0)
-    other = [["z"] * len(x) for x in h]
-    assert 0.0 <= bleu(h, other) <= 100.0
+    other = [[["z"] * len(x)] for x in h]
+    assert 0.0 <= corpus_bleu(h, other) <= 100.0
 
 
 @st.composite
@@ -259,8 +259,8 @@ def test_quality_diversity_curve_builds_one_clip_table(tiny_model, monkeypatch):
     monkeypatch.setattr(ClipTable, "build", counting)
     cfg = SamplerConfig(T=2, update_fraction=0.5)
     quality_diversity_curve(tiny_model, [0.3, 1.0, 2.0], 4, [[2, 3], [3, 4, 2]],
-                            sampler_cfg=cfg, bleu_cfg=BleuConfig(max_order=3), seed=1)
-    assert built == [3]
+                            sampler_cfg=cfg, seed=1)
+    assert built == [4]
 
 
 @st.composite

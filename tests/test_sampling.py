@@ -13,8 +13,7 @@ from snda.numerics import NumericError, no_grad
 from snda.sampling import (SamplerConfig, Template, _chain_scores,
                            argmax_unrolled_step, exact_chain_prob, model_score,
                            rerank, rerank_seeds, sample_chain, sample_chains,
-                           sample_step_low_temp, transition_matrix,
-                           triangular_count)
+                           transition_matrix, triangular_count)
 
 
 def test_sampler_config_validation():
@@ -69,29 +68,32 @@ def test_triangular_count_ramp():
 
 
 def test_low_temp_step_zero_updates_is_noop(tiny_model):
-    y = np.random.default_rng(0).integers(0, 8, size=(3, 8))
-    out = sample_step_low_temp(denoise_logits(tiny_model, y).data, y, 0.5, 0, None,
-                               [np.random.default_rng(b) for b in range(3)])
-    assert np.array_equal(out, y)
+    # the triangular schedule's first step at T=20, N=8 resamples no position
+    cfg = SamplerConfig(T=20, temperature=0.5, schedule="triangular")
+    assert triangular_count(1, cfg.T, 8) == 0
+    for trace in sample_chains(tiny_model, cfg, range(3)):
+        assert np.array_equal(trace.states[1], trace.states[0])
+        assert trace.changed[0] == 0
 
 
 def test_low_temp_step_tiny_tau_is_argmax(tiny_model):
-    y = np.random.default_rng(0).integers(0, 8, size=(3, 8))
-    out = sample_step_low_temp(denoise_logits(tiny_model, y).data, y, 1e-6, 8, None,
-                               [np.random.default_rng(b) for b in range(3)])
-    want = denoise_logits(tiny_model, y).data.argmax(axis=-1)
-    assert np.array_equal(out, want)
+    cfg = SamplerConfig(T=1, temperature=1e-6, early_stop=False)
+    traces = sample_chains(tiny_model, cfg, range(3))
+    want = denoise_logits(tiny_model, np.stack([t.states[0] for t in traces])).data
+    for trace, logits in zip(traces, want):
+        assert np.array_equal(trace.states[1], logits.argmax(axis=-1))
 
 
 def test_low_temp_step_respects_clamp(tiny_model):
-    y = np.random.default_rng(0).integers(0, 8, size=(20, 8))
-    clamp = np.array([True, False] * 4)
-    logits = denoise_logits(tiny_model, y).data
-    out = sample_step_low_temp(logits, y, 0.5, 8, clamp,
-                               [np.random.default_rng(seed) for seed in range(20)])
-    assert np.array_equal(out[:, clamp], y[:, clamp])
-    with pytest.raises(ValueError, match="20 chains need 20 rngs"):
-        sample_step_low_temp(logits, y, 0.5, 8, clamp, [np.random.default_rng(0)])
+    # 20 chains resample the 4 free positions of each step together
+    tokens, clamp = np.arange(8), np.array([True, False] * 4)
+    cfg = SamplerConfig(T=3, temperature=0.5, early_stop=False)
+    traces = sample_chains(tiny_model, cfg, range(20), Template(tokens, clamp))
+    assert len({t.states[0].tobytes() for t in traces}) == 20
+    for trace in traces:
+        assert sum(trace.changed) > 0
+        for state in trace.states:
+            assert np.array_equal(state[clamp], tokens[clamp])
 
 
 def test_argmax_unrolled_rho_zero_is_plain_argmax(tiny_model):

@@ -17,9 +17,9 @@ from snda.checkpoint import load_checkpoint, save_checkpoint
 from snda.experiments import desk_model_config, train_synthetic
 from snda.numerics import NumericError, cross_entropy, grad_check
 from snda.sampling import SamplerConfig, sample_chain
-from snda.training import (TrainConfig, averaged_model, loss_unrolled, lr_schedule,
-                           make_train_state, metrics_line, sample_tokens, train_loop,
-                           train_step)
+from snda.training import (TrainConfig, averaged_model, inverse_cdf, loss_unrolled,
+                           lr_schedule, make_train_state, metrics_line, sample_tokens,
+                           train_loop, train_step)
 from tests.conftest import perturb
 
 
@@ -90,8 +90,9 @@ def test_sample_tokens_distribution():
 
 
 def test_sample_tokens_low_temperature_is_argmax():
+    # the sampler's tempered draw: inverse_cdf at tau=1e-6
     logits = np.random.default_rng(0).standard_normal((50, 6))
-    draws = sample_tokens(logits, np.random.default_rng(1), temperature=1e-6)
+    draws = inverse_cdf(logits, np.random.default_rng(1).random((50, 1)), 1e-6)
     assert np.array_equal(draws, logits.argmax(axis=-1))
 
 
@@ -259,8 +260,9 @@ def _window_mean(flats, interval, window):
 
 
 def test_train_loop_is_deterministic():
-    lines_a = train_loop(_tiny_state(), _batch_fn, log_every=2)
-    lines_b = train_loop(_tiny_state(), _batch_fn, log_every=2)
+    lines_a, lines_b = [], []
+    train_loop(_tiny_state(), _batch_fn, log_every=2, log_fn=lines_a.append)
+    train_loop(_tiny_state(), _batch_fn, log_every=2, log_fn=lines_b.append)
     assert lines_a == lines_b
     assert lines_a[0].startswith("step=2 loss=")
 
