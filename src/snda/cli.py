@@ -82,12 +82,23 @@ def cmd_train_task(cfg: RunConfig) -> int:
     return _save_run(cfg, model, lines, seed, (cfg.get("task"), _len_range(cfg)))
 
 
+def _check_known(parts: list[str], vocab: Vocab, where: str):
+    """A usage error naming the first of `parts` that the vocabulary lacks,
+    which `encode` would read as <unk>."""
+    for i, part in enumerate(parts, 1):
+        if vocab.id_of(part) == UNK:
+            raise ConfigError(f"{where}, token {i}: {part!r} is not in the vocabulary")
+
+
 def cmd_train_corpus(cfg: RunConfig) -> int:
     seed, log_every = _int(cfg, "seed", 0), _int(cfg, "log_every", 50)
     with open(_require(cfg, "corpus"), encoding="utf-8") as f:
-        docs = [doc for doc in (ln.rstrip("\n") for ln in f) if doc]
+        lines = [ln.rstrip("\n") for ln in f]
+    docs = [doc for doc in lines if doc]
     if cfg.get("vocab"):
         vocab = Vocab.load(cfg.get("vocab"))
+        for lineno, doc in enumerate(lines, 1):
+            _check_known(Vocab.split(doc, vocab.kind), vocab, f"--corpus line {lineno}")
     else:
         vocab = Vocab.from_corpus(docs, kind="char")
         vocab.save(_checkpoint_path(cfg) + ".vocab")
@@ -149,10 +160,7 @@ def cmd_translate(cfg: RunConfig) -> int:
             if len(parts) > N_source:
                 raise ConfigError(f"--input line {lineno} has {len(parts)} tokens; "
                                   f"the model's N_source is {N_source}")
-            for i, part in enumerate(parts, 1):
-                if vocab.id_of(part) == UNK:
-                    raise ConfigError(f"--input line {lineno}, token {i}: {part!r} is not "
-                                      f"in the vocabulary")
+            _check_known(parts, vocab, f"--input line {lineno}")
             sources.append(encode(text, vocab, N_source))
     bests = iter(translate(model, sources, SamplerConfig(**cfg.sampler)))
     _emit(cfg, ["" if b else _text(strip_pad(next(bests)), vocab) for b in blank])
@@ -375,6 +383,11 @@ def _parse_argv(argv: list[str]) -> tuple[Branch, RunConfig]:
         seed_value("seed", integer("seed", cfg.top["seed"]))
     if "sampler" in branch.sections:
         _check_section(cfg, "sampler", lambda: SamplerConfig(**cfg.sampler))
+        # SamplerConfig cannot tell a set temperature from its default
+        if cfg.sampler.get("strategy") == "argmax_unrolled" and (
+                "temperature" in cfg.sampler or "temps" in branch.keys):
+            flag = "--sampler.temperature" if "temperature" in cfg.sampler else "--temps"
+            raise ConfigError(f"{flag} is not read under sampler.strategy argmax_unrolled")
     # the configs the trainer or bench builds, with stand-ins for the v, N and
     # mode it sets itself: no check compares them with another setting
     if "model" in branch.sections:

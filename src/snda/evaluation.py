@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -54,64 +54,32 @@ def _ngrams(tokens, n) -> Counter:
 class ClipTable(NamedTuple):
     """The reference side of multi-reference BLEU: per order, each n-gram's
     largest count in any one reference, and the sorted distinct reference
-    lengths. corpus_bleu takes one in place of a reference list, so a
-    reference set scored many times is counted once."""
+    lengths."""
     best: list[dict]
     lengths: list[int]
 
-    @classmethod
-    def build(cls, refs, max_order: int) -> ClipTable:
-        """Counted in numpy, one pass per order. Duplicate references cannot
-        change the table, so each distinct reference is counted once, and
-        its tokens are interned to dense ids below V. An order-n gram's code
-        is its (n-1)-prefix's rank among the distinct (n-1)-grams times V
-        plus its last id, so codes stay below tokens x V at every order, and
-        sorting the codes ranks the n-grams. One np.unique over
-        rank x references + reference counts each gram in each reference;
-        a gram's clip is the largest of its counts."""
-        distinct = list(dict.fromkeys(map(tuple, refs)))
-        if not distinct:
-            raise ValueError("empty reference list")
-        flat = list(chain.from_iterable(distinct))
-        intern = {t: i for i, t in enumerate(dict.fromkeys(flat))}
-        ids = np.fromiter(map(intern.__getitem__, flat), np.int64, len(flat))
-        sizes = np.array([len(r) for r in distinct])
-        ref = np.repeat(np.arange(len(distinct)), sizes)
-        # tokens from each position to the end of its reference
-        left = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(flat))
-        pos, rank, grams = np.arange(len(flat)), ids, [(t,) for t in intern]
-        best: list[dict] = []
-        for n in range(1, max_order + 1):
-            if n > 1:
-                keep = left[pos] >= n
-                pos = pos[keep]
-                rank, first = _ranks(rank[keep] * len(intern) + ids[pos + n - 1])
-                grams = [tuple(flat[p: p + n]) for p in pos[first].tolist()]
-            pairs, counts = np.unique(rank * len(distinct) + ref[pos], return_counts=True)
-            starts = np.flatnonzero(np.diff(pairs // len(distinct), prepend=-1))
-            best.append(dict(zip(grams, np.maximum.reduceat(counts, starts).tolist())))
-        return cls(best, sorted({len(r) for r in distinct}))
+
+def _clip_table(refs, max_order: int) -> ClipTable:
+    """The clip table of the references `refs`. Duplicate references cannot
+    change it, so each distinct reference is counted once."""
+    distinct = tuple(dict.fromkeys(map(tuple, refs)))
+    if not distinct:
+        raise ValueError("empty reference list")
+    return _count_clips(max_order, distinct)
 
 
-def _ranks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each code's rank among the distinct codes, and one position of each
-    distinct code, in rank order."""
-    order = np.argsort(codes)
-    ordered = codes[order]
-    new = np.empty(len(codes), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    rank = np.empty(len(codes), dtype=np.intp)
-    rank[order] = np.cumsum(new) - 1
-    return rank, order[new]
-
-
-def _table_of(refs, max_order: int) -> ClipTable:
-    if not isinstance(refs, ClipTable):
-        return ClipTable.build(refs, max_order)
-    if len(refs.best) != max_order:
-        raise ValueError(f"clip table has {len(refs.best)} orders, max_order is {max_order}")
-    return refs
+# One table kept: a corpus scored call after call, as the quality-diversity
+# curve scores it, is counted once, until other content or another order is
+# asked for.
+@lru_cache(maxsize=1)
+def _count_clips(max_order: int, distinct: tuple) -> ClipTable:
+    best: list[dict] = [{} for _ in range(max_order)]
+    for ref in distinct:
+        for n, table in enumerate(best, 1):
+            for g, c in _ngrams(ref, n).items():
+                if c > table.get(g, 0):
+                    table[g] = c
+    return ClipTable(best, sorted({len(r) for r in distinct}))
 
 
 def _score(matches: np.ndarray, totals: np.ndarray, hyp_len: int, ref_len: int) -> float:
@@ -136,12 +104,9 @@ def corpus_bleu(hypotheses: list, reference_lists: list,
                 cfg: BleuConfig | None = None) -> float:
     """Corpus BLEU with (possibly multiple) references per hypothesis.
 
-    Each distinct reference-list object is counted once per call, so
-    `[refs] * k` builds one clip table for all k hypotheses. A ClipTable
-    may stand in for a reference list; it must have cfg.max_order orders."""
+    A hypothesis whose reference list is the previous hypothesis's object
+    reuses its clip table, so `[refs] * k` is counted once for all k."""
     cfg = cfg or BleuConfig()
-    # the clip tables are keyed by id(refs); holding every reference list
-    # for the whole call keeps those ids from being reused by another list
     reference_lists = list(reference_lists)
     if len(hypotheses) != len(reference_lists):
         raise ValueError("hypothesis and reference counts differ")
@@ -151,11 +116,10 @@ def corpus_bleu(hypotheses: list, reference_lists: list,
     totals = np.zeros(cfg.max_order)
     hyp_len = 0
     ref_len = 0
-    tables: dict[int, ClipTable] = {}
+    last = None
     for hyp, refs in zip(hypotheses, reference_lists):
-        if id(refs) not in tables:
-            tables[id(refs)] = _table_of(refs, cfg.max_order)
-        best, lengths = tables[id(refs)]
+        if refs is not last:
+            last, (best, lengths) = refs, _clip_table(refs, cfg.max_order)
         hyp = list(hyp)
         hyp_len += len(hyp)
         ref_len += _closest(lengths, len(hyp))
@@ -262,12 +226,14 @@ def quality_diversity_curve(model, temperatures: list[float],
     2 * samples_per_temp chains seeded `seed + 7919 * k + i` for the k-th
     temperature: the first half (empty samples dropped) is scored against
     the references, the second half against itself by self-BLEU. The
-    references' clip table is built once for all temperatures.
+    strategy must read the temperature: argmax_unrolled is refused.
     """
     temperatures = curve_temperatures(temperatures)
     base = sampler_cfg or SamplerConfig(T=16, temperature=1.0,
                                         update_fraction=0.3, early_stop=True)
-    refs = ClipTable.build(reference_corpus, BleuConfig().max_order)
+    if base.strategy == "argmax_unrolled":
+        raise ValueError("the curve sweeps the temperature, which strategy argmax_unrolled "
+                         "does not read")
     points = []
     for k, tau in enumerate(temperatures):
         cfg = replace(base, temperature=tau)
@@ -275,7 +241,7 @@ def quality_diversity_curve(model, temperatures: list[float],
         drawn = draw_samples(model, cfg, 2 * samples_per_temp, offset)
         quality_set = [h for h in drawn[:samples_per_temp] if h]
         diversity_set = [h for h in drawn[samples_per_temp:] if h]
-        q = corpus_bleu(quality_set, [refs] * len(quality_set)) if quality_set else 0.0
+        q = corpus_bleu(quality_set, [reference_corpus] * len(quality_set)) if quality_set else 0.0
         d = self_bleu(diversity_set) if len(diversity_set) >= 2 else 0.0
         points.append(QDPoint(temperature=tau, quality_bleu=q, self_bleu=d))
     return points

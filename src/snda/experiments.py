@@ -30,7 +30,7 @@ def desk_train_config(total_steps: int, batch_size: int = 32, seed: int = 0,
                       unroll_terms: int = 2, **overrides) -> TrainConfig:
     # paper-recipe shape, learning rates rescaled for minutes-long runs
     kwargs = dict(unroll_terms=unroll_terms, batch_size=batch_size,
-                  total_steps=total_steps, warmup_steps=min(100, total_steps),
+                  total_steps=total_steps, warmup_steps=min(100, total_steps // 2),
                   lr_start=1e-7, lr_peak=2e-3, lr_min=2e-4,
                   label_smoothing=0.1, weight_decay=0.01, seed=seed)
     kwargs.update(overrides)

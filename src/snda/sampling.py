@@ -26,6 +26,14 @@ from .training import inverse_cdf
 
 @dataclass
 class SamplerConfig:
+    """Chain settings. Each strategy and schedule reads only some of them,
+    and a setting the configuration does not read must keep its default:
+    low_temp reads temperature and, under the constant schedule,
+    update_fraction; the triangular schedule sets its own counts;
+    argmax_unrolled reads uncertain_share and neither schedule,
+    update_fraction nor temperature (which cannot be told from its default
+    here, so the CLI and the quality-diversity curve refuse it)."""
+
     T: int = 10
     temperature: float = 0.3
     strategy: str = "low_temp"          # or "argmax_unrolled"
@@ -55,6 +63,16 @@ class SamplerConfig:
             raise ValueError("rerank_width must be >= 1")
         if not 0.0 <= self.uncertain_share <= 1.0:
             raise ValueError("uncertain_share must be in [0, 1]")
+        if self.strategy == "argmax_unrolled":
+            unread = {"update_fraction": "strategy", "schedule": "strategy"}
+        else:
+            unread = {"uncertain_share": "strategy"}
+            if self.schedule == "triangular":
+                unread["update_fraction"] = "schedule"
+        for name, by in unread.items():
+            if getattr(self, name) != self.__dataclass_fields__[name].default:
+                raise ValueError(f"{name} is not read under {by} {getattr(self, by)}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -343,6 +343,22 @@ def test_decoding_refuses_tokens_outside_the_vocabulary(tiny_ckpts, capsys, monk
     assert decodes == []
 
 
+def test_train_corpus_refuses_tokens_outside_its_vocabulary(in_tmp, capsys):
+    # with --vocab a..c, the z of line 3 would train as <unk>
+    Vocab(list("abc"), kind="char").save("abc.vocab")
+    (in_tmp / "odd.txt").write_text("abc\n\nzzzab\n")
+    argv = f"train --corpus odd.txt {_TRAIN_TINY} --checkpoint m.ckpt".split()
+    before = sorted(os.listdir("."))
+    assert run(argv + ["--vocab", "abc.vocab"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and (
+        "error: --corpus line 3, token 1: 'z' is not in the vocabulary" in captured.err)
+    assert sorted(os.listdir(".")) == before
+    # without --vocab the vocabulary is the corpus's own
+    assert run(argv) == 0
+    assert Vocab.load("m.ckpt.vocab").size == 6
+
+
 @pytest.mark.parametrize("dtype", ["float16", "banana", "int32"])
 def test_train_rejects_dtype_the_tape_cannot_hold(in_tmp, capsys, dtype):
     assert run(TRAIN_TASK + ["--model.dtype", dtype]) == 1
@@ -416,8 +432,23 @@ def test_negative_seed_is_a_usage_error(tiny_ckpts, capsys, argv, key):
      "sampler.update_fraction must be in (0, 1], got 5"),
     ("bench --checkpoint junk.ckpt --steps 0 --count 2", "steps must be >= 1, got 0"),
     ("bench --steps 4,-1 --count 2 --model.N 8 --model.v 8", "steps must be >= 1, got -1"),
+    # settings the strategy or schedule does not read
+    ("sample --checkpoint junk.ckpt --sampler.strategy argmax_unrolled --sampler.temperature 0.5",
+     "--sampler.temperature is not read under sampler.strategy argmax_unrolled"),
+    ("eval --checkpoint junk.ckpt --corpus corpus.txt --temps 0.9 --count 2 "
+     "--sampler.strategy argmax_unrolled", "--temps is not read under sampler.strategy argmax"),
+    ("translate --checkpoint junk.ckpt --input src.txt --sampler.strategy argmax_unrolled "
+     "--sampler.update_fraction 0.3",
+     "sampler.update_fraction is not read under strategy argmax_unrolled, got 0.3"),
+    ("inpaint --checkpoint junk.ckpt --template a*b --sampler.schedule triangular "
+     "--sampler.update_fraction 0.3",
+     "sampler.update_fraction is not read under schedule triangular, got 0.3"),
+    (f"ablate {_COPY_TASK} {_TRAIN_TINY} --sampler.uncertain_share 0.1",
+     "sampler.uncertain_share is not read under strategy low_temp, got 0.1"),
 ], ids=["sample-temperature", "translate-T", "eval-task-rerank", "inpaint-strategy", "ablate-T",
-        "sample-triangular-update-fraction", "bench-checkpoint-steps", "bench-steps"])
+        "sample-triangular-update-fraction", "bench-checkpoint-steps", "bench-steps",
+        "sample-argmax-temperature", "eval-corpus-argmax", "translate-argmax-update-fraction",
+        "inpaint-triangular-update-fraction", "ablate-low-temp-uncertain-share"])
 def test_out_of_range_values_are_usage_errors(tiny_ckpts, capsys, argv, message):
     # junk.ckpt would fail if read, and no model is built: the values are checked first
     (tiny_ckpts / "junk.ckpt").write_bytes(b"XXXXnothing")
@@ -460,7 +491,7 @@ def test_model_and_train_values_are_usage_errors(tiny_ckpts, capsys, argv, messa
 
 
 def test_model_and_train_checks_refuse_nothing_the_trainer_takes():
-    # warmup_steps defaults to min(100, total_steps), and total_steps to the
+    # warmup_steps defaults to min(100, total_steps // 2), and total_steps to the
     # trainer's own: 1200 for a task, 800 for a corpus
     for argv in ("train --task copy --train.total_steps 2",
                  "train --task copy --train.warmup_steps 1000",

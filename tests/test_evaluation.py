@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import snda
 from snda import evaluation
 from snda.data import PAD, TokenSeq
-from snda.evaluation import (BleuConfig, ClipTable, corpus_bleu, draw_samples, exact_match,
+from snda.evaluation import (BleuConfig, _clip_table, corpus_bleu, draw_samples, exact_match,
                              quality_diversity_curve, self_bleu, strip_pad, translate)
 from snda.experiments import desk_model_config
 from snda.model import init_model
@@ -91,6 +91,8 @@ def test_bleu_validates_inputs():
         corpus_bleu([["a"]], [])
     with pytest.raises(ValueError):
         corpus_bleu([], [])
+    with pytest.raises(ValueError, match="empty reference list"):
+        corpus_bleu([["a"]], [[]])
     with pytest.raises(ValueError):
         BleuConfig(max_order=0)
 
@@ -145,9 +147,9 @@ def test_shared_reference_list_scores_like_separate_copies(case):
 
 
 def test_generated_reference_lists_score_like_a_list():
-    # corpus_bleu keys its clip tables by id(refs), so it must keep each
-    # reference list alive for the whole call: a one-reference list freed
-    # after its pair could hand its address, and its table, to a later list
+    # corpus_bleu reuses a clip table while the reference list is the same
+    # object, so a one-reference list freed after its pair must not hand its
+    # table to a later list that takes its address
     class Refs(list):   # a list that takes weak references
         pass
 
@@ -183,20 +185,6 @@ def test_clip_tables_follow_reference_content():
     assert corpus_bleu(hyps, [refs] * 2, BleuConfig(max_order=2)) == 0.0
 
 
-def test_clip_table_stands_in_for_its_references():
-    refs = [list("abcd"), list("abd"), list("abcd"), list("xbcab")]
-    hyps = [list("abcab"), list("ab"), list("dcba")]
-    for order in (1, 2, 4):
-        cfg = BleuConfig(max_order=order)
-        table = ClipTable.build(refs, order)
-        assert corpus_bleu(hyps, [table] * 3, cfg) == corpus_bleu(hyps, [refs] * 3, cfg)
-        assert corpus_bleu(hyps, [table, refs, table], cfg) == corpus_bleu(hyps, [refs] * 3, cfg)
-    with pytest.raises(ValueError, match="clip table has 2 orders, max_order is 4"):
-        corpus_bleu(hyps, [ClipTable.build(refs, 2)] * 3)
-    with pytest.raises(ValueError, match="empty reference list"):
-        ClipTable.build([], 4)
-
-
 def _clip_table_oracle(refs, max_order):
     """(best, lengths) counted one reference at a time with Counters."""
     best = [Counter() for _ in range(max_order)]
@@ -228,39 +216,46 @@ def _clip_table_case(draw):
 @example(([list("aaaa"), list("aab"), list("aaaa")], 4))
 def test_clip_table_matches_counter_oracle(case):
     refs, order = case
-    table = ClipTable.build(refs, order)
+    table = _clip_table(refs, order)
     assert (table.best, table.lengths) == _clip_table_oracle(refs, order)
     assert all(type(g) is tuple and type(c) is int for b in table.best for g, c in b.items())
 
 
 def test_clip_table_of_a_large_vocabulary_matches_counter_oracle():
-    # 70k distinct tokens, interned in order, so token i has id i. A
-    # positional base-V code of a 4-gram passes 2**64, and in int64 `high`
-    # and `low` would share the code V**4 - 1 (mod 2**64)
+    # 70k distinct tokens. A positional base-V code of a 4-gram passes 2**64,
+    # and in int64 `high` and `low` would share the code V**4 - 1 (mod 2**64)
     V = 70_000
     high = [V - 1] * 4
     low = [(V ** 4 - 1 - 2 ** 64) // V ** k % V for k in (3, 2, 1, 0)]
     refs = [list(range(V)), high, low * 2, np.random.default_rng(4).integers(
         V - 50, V, size=400).tolist()]
     refs += refs[1:3]
-    table = ClipTable.build(refs, 4)
+    table = _clip_table(refs, 4)
     assert table.best[3][tuple(high)] == 1 and table.best[3][tuple(low)] == 2
     assert (table.best, table.lengths) == _clip_table_oracle(refs, 4)
 
 
-def test_quality_diversity_curve_builds_one_clip_table(tiny_model, monkeypatch):
-    built = []
-    build = ClipTable.build
+def test_quality_diversity_curves_count_a_corpus_once(tiny_model, monkeypatch):
+    built, table_type = [], evaluation.ClipTable
 
-    def counting(refs, max_order):
-        built.append(max_order)
-        return build(refs, max_order)
+    def counting(*table):
+        built.append(table)
+        return table_type(*table)
 
-    monkeypatch.setattr(ClipTable, "build", counting)
+    monkeypatch.setattr(evaluation, "ClipTable", counting)
+    evaluation._count_clips.cache_clear()
     cfg = SamplerConfig(T=2, update_fraction=0.5)
-    quality_diversity_curve(tiny_model, [0.3, 1.0, 2.0], 4, [[2, 3], [3, 4, 2]],
-                            sampler_cfg=cfg, seed=1)
-    assert built == [4]
+
+    def curve(corpus):
+        quality_diversity_curve(tiny_model, [0.3, 1.0, 2.0], 4, corpus, sampler_cfg=cfg, seed=1)
+        return len(built)
+
+    corpus = [[2, 3], [3, 4, 2]]
+    # two curves over equal content, each scoring it at three temperatures
+    assert curve(corpus) == 1 and curve(copy.deepcopy(corpus)) == 1
+    corpus[1].append(5)
+    assert curve(corpus) == 2
+    assert curve([[2, 3], [3, 4, 2, 5]]) == 2
 
 
 @st.composite
@@ -358,6 +353,10 @@ def test_quality_diversity_validates():
         quality_diversity_curve(None, [], 10, [[1]])
     with pytest.raises(ValueError):
         quality_diversity_curve(None, [1.0, 0.5], 10, [[1]])
+    # sweeping the temperature of a strategy that does not read it
+    with pytest.raises(ValueError, match="argmax_unrolled does not read"):
+        quality_diversity_curve(None, [0.5, 1.0], 10, [[1]],
+                                sampler_cfg=SamplerConfig(strategy="argmax_unrolled"))
 
 
 def test_quality_diversity_reproducible(tiny_model):

@@ -31,6 +31,22 @@ def test_sampler_config_validation():
             with pytest.raises(ValueError, match=r"update_fraction must be in \(0, 1\]"):
                 SamplerConfig(schedule=schedule, update_fraction=value)
         assert SamplerConfig(schedule=schedule, update_fraction=1.0).update_fraction == 1.0
+    # a setting the strategy or schedule does not read keeps its default;
+    # range errors come first
+    for kwargs, message in (
+            (dict(strategy="argmax_unrolled", update_fraction=0.3),
+             "update_fraction is not read under strategy argmax_unrolled, got 0.3"),
+            (dict(strategy="argmax_unrolled", schedule="triangular"),
+             "schedule is not read under strategy argmax_unrolled, got 'triangular'"),
+            (dict(schedule="triangular", update_fraction=0.3),
+             "update_fraction is not read under schedule triangular, got 0.3"),
+            (dict(uncertain_share=0.1), "uncertain_share is not read under strategy low_temp"),
+            (dict(strategy="argmax_unrolled", update_fraction=5.0),
+             r"update_fraction must be in \(0, 1\]"),
+            (dict(uncertain_share=1.5), r"uncertain_share must be in \[0, 1\]")):
+        with pytest.raises(ValueError, match=message):
+            SamplerConfig(**kwargs)
+    assert SamplerConfig(strategy="argmax_unrolled", uncertain_share=0.9).uncertain_share == 0.9
     with pytest.raises(ValueError):
         SamplerConfig(rerank_width=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -409,9 +425,14 @@ def test_chains_are_scored_only_where_they_are_reranked(tiny_model, monkeypatch,
 @pytest.mark.parametrize("setup", ["uniform", "template", "translate"])
 def test_rerank_width_changes_no_chain_state(tiny_model, tiny_encdec, strategy, schedule,
                                              setup):
-    cfg = SamplerConfig(T=8, temperature=0.03, strategy=strategy,
-                        schedule="triangular" if schedule == "triangular" else "constant",
-                        update_fraction=0.5 if schedule == "half" else 1.0)
+    settings = dict(schedule="triangular" if schedule == "triangular" else "constant",
+                    update_fraction=0.5 if schedule == "half" else 1.0)
+    if strategy == "argmax_unrolled" and schedule != "constant":
+        # argmax_unrolled reads no schedule or update fraction: no such chains run
+        with pytest.raises(ValueError, match="not read under strategy argmax_unrolled"):
+            SamplerConfig(strategy=strategy, **settings)
+        return
+    cfg = SamplerConfig(T=8, temperature=0.03, strategy=strategy, **settings)
     seeds = [3, 3, 8, 14, 1014, 2014]
     model, init, cond = tiny_model, None, None
     if setup == "template":
@@ -467,7 +488,9 @@ def test_sample_chains_without_seeds_returns_no_traces(tiny_model, strategy, T, 
     cfg = SamplerConfig(T=T, strategy=strategy, early_stop=early_stop)
     assert sample_chains(tiny_model, cfg, []) == []
     template = Template(np.arange(8), np.arange(8) < 3)
-    assert sample_chains(tiny_model, replace(cfg, schedule="triangular"), [], template) == []
+    if strategy == "low_temp":
+        cfg = replace(cfg, schedule="triangular")
+    assert sample_chains(tiny_model, cfg, [], template) == []
 
 
 def test_sample_reranked_picks_min_score(tiny_model):
@@ -559,7 +582,8 @@ def test_early_stop_ends_a_chain_only_after_a_step_that_changed_nothing(tiny_mod
 @pytest.mark.parametrize("clamped", [0, 4, 8])
 def test_chain_states_and_the_reranked_best_share_no_memory(tiny_model, strategy, early_stop,
                                                             clamped):
-    cfg = SamplerConfig(T=8, temperature=0.03, strategy=strategy, update_fraction=0.5,
+    cfg = SamplerConfig(T=8, temperature=0.03, strategy=strategy,
+                        update_fraction=0.5 if strategy == "low_temp" else 1.0,
                         early_stop=early_stop, rerank_width=2)
     init = Template(np.arange(8), np.arange(8) < clamped) if clamped else None
     traces = sample_chains(tiny_model, cfg, range(8), init)
@@ -616,6 +640,8 @@ def test_encoder_decoder_chain_requires_cond(tiny_encdec):
 def test_sample_chains_equal_one_chain_per_seed(tiny_model, tiny_encdec, seeds, strategy,
                                                 schedule, temperature, T, early_stop,
                                                 template_seed, conditioning, rerank_width):
+    if strategy == "argmax_unrolled":
+        schedule = "constant"   # the only schedule SamplerConfig takes with it
     cfg = SamplerConfig(T=T, temperature=temperature, strategy=strategy,
                         schedule="triangular" if schedule == "triangular" else "constant",
                         update_fraction=0.5 if schedule == "half" else 1.0,

@@ -351,12 +351,13 @@ def test_averaged_model_uses_snapshots():
 
 
 def test_seeded_training_is_pinned():
-    # 60 AdamW steps with 10 distinct snapshots averaged into the model
+    # 60 AdamW steps, 30 of them warm-up, with 10 distinct snapshots averaged
+    # into the model
     lines = []
     model, _ = train_synthetic("reverse_cipher", seed=0, total_steps=60, log_fn=lines.append)
     params = np.concatenate([t.data.astype("<f4").reshape(-1) for _, t in model.params.items()])
-    assert hashlib.sha256(params.tobytes()).hexdigest()[:16] == "13cd2a6bb5c9c578"
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "a9bf0b58a5d0bc3a"
+    assert hashlib.sha256(params.tobytes()).hexdigest()[:16] == "c08b89a373562dba"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "b7d512f634477143"
 
 
 def _assert_views(params):
