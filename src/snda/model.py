@@ -1,10 +1,12 @@
 """The denoiser network: a non-causal transformer over full sequences.
 
 Per-position token logits are conditionally independent given the input
-sequence, so one forward pass scores every position at once — there is no
-causal mask in the decoder. In encoder-decoder mode a source encoder and
-a target-length classifier are added; the predicted-length embedding is
-prepended to the source encodings as cross-attention memory.
+sequence, so one forward pass scores every position at once. The denoiser
+applies no causal mask; `denoise_logits(causal=True)` exists only for the
+greedy baseline of `experiments.bench_report`. In encoder-decoder mode a
+source encoder and a target-length classifier are added; the
+predicted-length embedding is prepended to the source encodings as
+cross-attention memory.
 """
 
 from __future__ import annotations

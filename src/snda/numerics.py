@@ -1,14 +1,14 @@
 """Float arrays with reverse-mode differentiation.
 
 Just the ops a small non-causal transformer and its loss record: add,
-multiply, reshape, sum, concat, layer norm, embedding gather/scatter,
+multiply, reshape, concat, layer norm, embedding gather/scatter,
 cross-entropy, and three whole-sublayer ops that each record one tape node
 with an analytic backward: `linear` (x @ W + b), `ffn` (linear, ReLU,
 linear) and `attention` (multi-head attention with its projections). Their
 weight products are 2-D GEMMs over every row of the batch, so a weight
 gradient is one xᵀg product. Values are float32 (training) or float64
 (tests, oracles) numpy arrays; gradients accumulate in reverse
-topological order of the tape.
+topological order of the tape. `sum` serves tests' scalar losses.
 """
 
 from __future__ import annotations
@@ -243,32 +243,22 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 def _scatter_rows(ids: np.ndarray, g: np.ndarray, table: np.ndarray) -> np.ndarray:
     """np.add.at(np.zeros_like(table), ids, g) bit for bit, without its
-    per-index loop: each id's rows of g, in their order, are summed from
-    +0.0. Ids that occur at most twice the mean count are summed by one
-    reduction over the slot axis of a zero-padded [count + 1, ids, d]
-    buffer, which numpy adds slot by slot; the few ids that occur more
-    often (the pad id, say) are summed one at a time. The buffer holds at
-    most twice the rows of g plus one row an id, whatever the table size."""
+    per-index loop: g's rows are sorted stably by id, and each id's rows,
+    in their order, are summed from +0.0 by one reduction, which numpy
+    adds row by row. Scratch is one sorted copy of g's rows. The loop runs
+    once per distinct id, so many distinct ids cost more than few: 1024
+    ids into a 3000-row table, about 250 of them distinct, take 0.6 ms on
+    one desk core, against 0.05 ms a call for a training batch's ids."""
     gw = np.zeros_like(table)
     if table.ndim != 2 or table.shape[1] == 1:  # [n, 1] reductions are summed pairwise
         np.add.at(gw, ids, g)
         return gw
     ids = ids.reshape(-1)
-    g = g.reshape(-1, table.shape[1])
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
+    rows = g.reshape(-1, table.shape[1])[np.argsort(ids, kind="stable")]
     counts = np.bincount(ids, minlength=len(table))
-    start = np.cumsum(counts) - counts
-    depth = 2 * ids.size // max(np.count_nonzero(counts), 1)
-    light = (counts > 0) & (counts <= depth)
-    keep = light[ids]
-    slot = np.arange(1, ids.size + 1) - start[ids]
-    buf = np.zeros((counts[light].max(initial=0) + 1, np.count_nonzero(light), table.shape[1]),
-                   table.dtype)
-    buf[slot[keep], (np.cumsum(light) - 1)[ids[keep]]] = g[order[keep]]
-    gw[light] = np.add.reduce(buf, axis=0)
-    for i in np.flatnonzero(counts > depth):
-        gw[i] = np.add.reduce(g[order[start[i]:start[i] + counts[i]]], axis=0, initial=0)
+    end = np.cumsum(counts)
+    for i in np.flatnonzero(counts):
+        gw[i] = np.add.reduce(rows[end[i] - counts[i]:end[i]], axis=0, initial=0)
     return gw
 
 

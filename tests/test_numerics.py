@@ -51,7 +51,7 @@ def test_embedding_grads_and_scatter():
 def test_embedding_scatter_equals_a_sequential_loop(dtype):
     # each id's rows are summed in order from +0.0, as np.add.at adds them:
     # repeated ids, ids that never occur, and -0.0 rows (0.0 + -0.0 is +0.0);
-    # a dominant id (a pad id, say) is summed apart from the rest
+    # a dominant id (a pad id, say); many distinct ids beside a pad id
     rng = np.random.default_rng(0)
     dominant = rng.integers(0, 40, size=(16, 24))
     dominant[:, 5:] = 0
@@ -59,6 +59,9 @@ def test_embedding_scatter_equals_a_sequential_loop(dtype):
              (np.zeros(20, np.int64), 1, 1), (np.array([], np.int64), 4, 3),
              (dominant, 40, 5), (dominant, 40, 1)]
     cases += [(rng.integers(0, v, size=(8, 16)), v, 6) for v in (2, 9, 30)]
+    padded = np.zeros((32, 64), np.int64)
+    padded[:, :8] = rng.integers(1, 3000, (32, 8))
+    cases.append((padded, 3000, 4))
     for ids, v, d in cases:
         g = (rng.standard_normal(ids.shape + (d,)) * 10.0 ** rng.integers(-4, 5, ids.shape + (d,)))
         g[rng.random(g.shape) < 0.2] = -0.0
@@ -75,9 +78,9 @@ def test_embedding_scatter_equals_a_sequential_loop(dtype):
 
 
 def test_embedding_scatter_memory_follows_the_rows_not_the_table():
-    # a large table and a dominant pad id: scratch stays a small multiple of
-    # the gradient table plus the rows scattered, not the table times the
-    # pad id's count
+    # a large table and a dominant pad id: scratch is the gradient table and
+    # one sorted copy of the rows scattered, not the table times the pad
+    # id's count
     v, d = 3000, 64
     rng = np.random.default_rng(0)
     ids = np.zeros((32, 64), np.int64)
